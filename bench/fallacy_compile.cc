@@ -45,8 +45,8 @@ int Run(const BenchArgs& args) {
     const Summary& s = results[i].throughput;
     table.AddRow({FsKindName(kinds[i]), FormatDouble(s.mean, 2),
                   FormatDouble(s.rel_stddev_pct, 2),
-                  "[" + FormatDouble(s.ci95_lo(), 2) + ", " + FormatDouble(s.ci95_hi(), 2) +
-                      "]"});
+                  '[' + FormatDouble(s.ci95_lo(), 2) + ", " + FormatDouble(s.ci95_hi(), 2) +
+                      ']'});
   }
   std::printf("compile workload (300 files, ~30ms CPU per compile):\n%s\n",
               table.Render().c_str());

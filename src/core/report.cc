@@ -137,7 +137,7 @@ std::string RenderComparison(const ComparisonReport& report) {
   AsciiTable table;
   table.SetHeader({"system", "ops/s (mean)", "stddev", "95% CI"});
   auto ci = [](const Summary& s) {
-    return "[" + FormatDouble(s.ci95_lo(), 1) + ", " + FormatDouble(s.ci95_hi(), 1) + "]";
+    return '[' + FormatDouble(s.ci95_lo(), 1) + ", " + FormatDouble(s.ci95_hi(), 1) + ']';
   };
   table.AddRow({report.name_a, FormatDouble(report.a.mean, 1),
                 FormatDouble(report.a.stddev, 1), ci(report.a)});

@@ -5,10 +5,10 @@
 // entry occupies, which in turn determines how many block reads a linear
 // scan needs to find it.
 //
-// The name index is a flat open-addressing table (linear probe,
-// backward-shift deletion) of slot ids, with each slot caching its name's
-// hash: a lookup costs one mask, a cached-hash compare and (on match) one
-// string compare — no prime modulo, no node chase, no per-entry heap node.
+// The name index is a FlatIndex (src/sim/flat_index.h) of slot ids, with
+// each slot caching its name's hash: a lookup costs one mask, a cached-hash
+// compare and (on match) one string compare — no prime modulo, no node
+// chase, no per-entry heap node.
 // Lookups take std::string_view, so path resolution probes with components
 // pointing straight into the path being walked; only mutations copy the
 // name, which they must anyway for storage.
@@ -22,14 +22,13 @@
 #include <string_view>
 #include <vector>
 
+#include "src/sim/flat_index.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
 
 class Directory {
  public:
-  Directory() : index_(kInitialSlots, kEmpty), index_mask_(kInitialSlots - 1) {}
-
   // Returns false if the name already exists.
   bool Insert(std::string_view name, InodeId ino);
 
@@ -48,15 +47,15 @@ class Directory {
     InodeId ino = kInvalidInode;
   };
   std::optional<Entry> Find(std::string_view name) const {
-    const uint32_t id = index_[Probe(name, HashName(name))];
-    if (id == kEmpty) {
+    const uint32_t id = index_.at(Probe(name, HashName(name)));
+    if (id == FlatIndex::kEmpty) {
       return std::nullopt;
     }
     return Entry{id, slots_[id].ino};
   }
 
   // Number of live entries.
-  size_t entry_count() const { return entry_count_; }
+  size_t entry_count() const { return index_.size(); }
 
   // Number of slots in use including holes; determines block count.
   uint64_t slot_count() const { return slots_.size(); }
@@ -68,9 +67,6 @@ class Directory {
   std::vector<std::string> List() const;
 
  private:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-  static constexpr size_t kInitialSlots = 16;
-
   struct Slot {
     std::string name;  // empty == hole
     InodeId ino = kInvalidInode;
@@ -96,22 +92,14 @@ class Directory {
   // (Inline: this is the per-path-component probe on the resolution hot
   // path, and its callers below inline into the file-system lookup.)
   size_t Probe(std::string_view name, size_t hash) const {
-    size_t pos = hash & index_mask_;
-    for (;;) {
-      const uint32_t id = index_[pos];
-      if (id == kEmpty || (slots_[id].hash == hash && slots_[id].name == name)) {
-        return pos;
-      }
-      pos = (pos + 1) & index_mask_;
-    }
+    return index_.Probe(hash, [this, name, hash](uint32_t id) {
+      return slots_[id].hash == hash && slots_[id].name == name;
+    });
   }
-  void GrowIndex();
 
   std::vector<Slot> slots_;
-  std::vector<uint64_t> holes_;   // indices of free slots, reused LIFO
-  std::vector<uint32_t> index_;   // open addressing: positions hold slot ids
-  size_t index_mask_;
-  size_t entry_count_ = 0;
+  std::vector<uint64_t> holes_;  // indices of free slots, reused LIFO
+  FlatIndex index_;              // slot ids of live entries
 };
 
 }  // namespace fsbench

@@ -1,29 +1,14 @@
 #include "src/sim/flash_tier.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace fsbench {
-
-namespace {
-
-size_t NextPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) {
-    p <<= 1;
-  }
-  return p;
-}
-
-}  // namespace
 
 FlashTier::FlashTier(const FlashTierConfig& config)
     : config_(config),
       capacity_pages_(static_cast<size_t>(config.capacity / config.page_size)) {
   assert(capacity_pages_ > 0);
-  // Load factor <= 0.5 at full capacity keeps linear-probe runs short.
-  table_.assign(NextPow2(std::max<size_t>(capacity_pages_ * 2, 16)), kNil);
-  table_mask_ = table_.size() - 1;
+  table_.Reserve(capacity_pages_);
   keys_.reserve(capacity_pages_);
   blocks_.reserve(capacity_pages_);
   links_.reserve(capacity_pages_);
@@ -31,55 +16,17 @@ FlashTier::FlashTier(const FlashTierConfig& config)
   slots_.reserve(capacity_pages_);
 }
 
-void FlashTier::TableInsertAt(size_t slot, uint32_t node) {
-  assert(table_[slot] == kNil);
-  table_[slot] = node;
-  slots_[node] = static_cast<uint32_t>(slot);
-}
-
 void FlashTier::TableEraseNode(uint32_t node) {
-  size_t hole = slots_[node];
-  assert(table_[hole] == node);
-  // Backward-shift deletion: walk the probe run after `hole`, moving back
-  // any entry whose home slot lies cyclically at or before the hole, so
-  // every remaining key stays reachable from its home without tombstones.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & table_mask_;
-    const uint32_t moved = table_[slot];
-    if (moved == kNil) {
-      break;
-    }
-    const size_t home = hashes_[moved] & table_mask_;
-    const size_t hole_distance = (slot - hole) & table_mask_;
-    const size_t home_distance = (slot - home) & table_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    table_[hole] = moved;
-    slots_[moved] = static_cast<uint32_t>(hole);
-    hole = slot;
-  }
-  table_[hole] = kNil;
-}
-
-void FlashTier::TableGrow(size_t buckets) {
-  table_.assign(NextPow2(buckets), kNil);
-  table_mask_ = table_.size() - 1;
-  // Reinsert every live node at its new home; probe order within a run is
-  // rebuilt in node-allocation order, which is itself deterministic.
-  for (uint32_t n = 0; n < keys_.size(); ++n) {
-    if (keys_[n].ino == kInvalidInode) {
-      continue;  // free-list node
-    }
-    TableInsertAt(ProbeSlot(keys_[n], hashes_[n]), n);
-  }
+  assert(table_.at(slots_[node]) == node);
+  table_.Erase(
+      slots_[node], [this](uint32_t n) { return hashes_[n]; },
+      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
 }
 
 void FlashTier::RehashForTest(size_t buckets) {
-  if (buckets > table_.size()) {
-    TableGrow(buckets);
-  }
+  table_.Rehash(
+      buckets, [this](uint32_t n) { return hashes_[n]; },
+      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
 }
 
 uint32_t FlashTier::AllocNode(const PageKey& key, uint32_t hash) {
@@ -157,7 +104,7 @@ bool FlashTier::LookupAndPromote(const PageKey& key) {
 void FlashTier::Insert(const PageKey& key, BlockId block) {
   const uint32_t hash = HashOf(key);
   const size_t slot = ProbeSlot(key, hash);
-  const uint32_t existing = table_[slot];
+  const uint32_t existing = table_.at(slot);
   if (existing != kNil) {
     // Refresh.
     if (lru_head_ != existing) {
@@ -203,7 +150,7 @@ void FlashTier::RemoveFile(InodeId ino) {
 }
 
 void FlashTier::Clear() {
-  std::fill(table_.begin(), table_.end(), kNil);
+  table_.Clear();
   keys_.clear();
   blocks_.clear();
   links_.clear();

@@ -12,8 +12,8 @@
 // with the backing device block retained for writeback bookkeeping.
 //
 // Layout mirrors src/sim/page_cache.h's slab scheme, scaled down to a single
-// LRU list: one open-addressing hash table (linear probe, backward-shift
-// deletion) maps PageKey -> node index into parallel arrays
+// LRU list: one FlatIndex (src/sim/flat_index.h) maps PageKey -> node index
+// into parallel arrays
 //
 //   keys_[n]    identity, compared while probing (ino == kInvalidInode when
 //               the node is on the free list — PageKey{0, ...} is never a
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
+#include "src/sim/flat_index.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -81,7 +82,7 @@ class FlashTier {
   bool Contains(const PageKey& key) const { return FindNode(key) != kNil; }
 
  private:
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr uint32_t kNil = FlatIndex::kEmpty;
 
   struct Link {
     uint32_t prev = kNil;
@@ -94,22 +95,18 @@ class FlashTier {
 
   // Key's slot, or the first empty slot of its probe run.
   size_t ProbeSlot(const PageKey& key, uint32_t hash) const {
-    size_t slot = hash & table_mask_;
-    for (;;) {
-      const uint32_t node = table_[slot];
-      if (node == kNil || keys_[node] == key) {
-        return slot;
-      }
-      slot = (slot + 1) & table_mask_;
-    }
+    return table_.Probe(hash, [this, &key](uint32_t n) { return keys_[n] == key; });
   }
   uint32_t FindNode(const PageKey& key) const {
-    return table_[ProbeSlot(key, HashOf(key))];
+    return table_.at(ProbeSlot(key, HashOf(key)));
   }
 
-  void TableInsertAt(size_t slot, uint32_t node);
+  void TableInsertAt(size_t slot, uint32_t node) {
+    slots_[node] = static_cast<uint32_t>(table_.Insert(
+        slot, node, hashes_[node], [this](uint32_t n) { return hashes_[n]; },
+        [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); }));
+  }
   void TableEraseNode(uint32_t node);  // probe-free: starts from slots_[node]
-  void TableGrow(size_t buckets);
 
   uint32_t AllocNode(const PageKey& key, uint32_t hash);
   void ReleaseNode(uint32_t n);
@@ -132,8 +129,7 @@ class FlashTier {
   std::vector<uint32_t> slots_;
   uint32_t free_head_ = kNil;  // free list threaded through links_[].next
 
-  std::vector<uint32_t> table_;  // node indices; kNil == empty
-  size_t table_mask_ = 0;
+  FlatIndex table_;
 
   uint32_t lru_head_ = kNil;  // MRU end
   uint32_t lru_tail_ = kNil;  // LRU end

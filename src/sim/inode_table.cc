@@ -1,70 +1,41 @@
 #include "src/sim/inode_table.h"
 
+#include <cassert>
 #include <utility>
 
 namespace fsbench {
 
 Inode* InodeTable::Insert(Inode&& inode) {
-  assert(inode.ino != kInvalidInode);
-  // Keep the load factor at or under 0.7 so probe runs stay short.
-  if ((size_ + 1) * 10 > index_.size() * 7) {
-    Grow();
-  }
-  const size_t slot = Probe(inode.ino);
-  assert(index_[slot].ino == kInvalidInode);
+  const InodeId ino = inode.ino;
+  assert(ino != kInvalidInode);
+  const size_t slot = Probe(ino);
+  assert(index_.at(slot) == FlatIndex::kEmpty);
 
   uint32_t pos;
   if (!free_.empty()) {
     pos = free_.back();
     free_.pop_back();
     slab_[pos] = std::move(inode);
+    inos_[pos] = ino;
   } else {
     pos = static_cast<uint32_t>(slab_.size());
     slab_.push_back(std::move(inode));
+    inos_.push_back(ino);
   }
-  index_[slot] = IndexSlot{slab_[pos].ino, pos};
-  ++size_;
+  index_.Insert(slot, pos, HashInode(ino), [this](uint32_t p) { return HashInode(inos_[p]); });
   return &slab_[pos];
 }
 
 void InodeTable::Erase(InodeId ino) {
-  size_t hole = Probe(ino);
-  if (index_[hole].ino != ino) {
+  const size_t slot = Probe(ino);
+  const uint32_t pos = index_.at(slot);
+  if (pos == FlatIndex::kEmpty) {
     return;
   }
-  slab_[index_[hole].pos] = Inode{};  // release the inode's own storage now
-  free_.push_back(index_[hole].pos);
-  --size_;
-
-  // Backward-shift deletion: walk the probe run after the hole, moving back
-  // any entry probing ran past it, so no tombstones accumulate.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & mask_;
-    if (index_[slot].ino == kInvalidInode) {
-      break;
-    }
-    const size_t home = Mix(index_[slot].ino) & mask_;
-    const size_t hole_distance = (slot - hole) & mask_;
-    const size_t home_distance = (slot - home) & mask_;
-    if (home_distance < hole_distance) {
-      continue;  // its home lies strictly after the hole; still reachable
-    }
-    index_[hole] = index_[slot];
-    hole = slot;
-  }
-  index_[hole] = IndexSlot{};
-}
-
-void InodeTable::Grow() {
-  std::vector<IndexSlot> old = std::move(index_);
-  index_.assign(old.size() * 2, IndexSlot{});
-  mask_ = index_.size() - 1;
-  for (const IndexSlot& slot : old) {
-    if (slot.ino != kInvalidInode) {
-      index_[Probe(slot.ino)] = slot;
-    }
-  }
+  index_.Erase(slot, [this](uint32_t p) { return HashInode(inos_[p]); });
+  slab_[pos] = Inode{};  // release the inode's own storage now
+  inos_[pos] = kInvalidInode;
+  free_.push_back(pos);
 }
 
 }  // namespace fsbench

@@ -1,4 +1,4 @@
-// Open-addressing inode index over a stable slab.
+// Inode index over a stable slab.
 //
 // Path resolution probes the inode table once per component, so the map from
 // InodeId to Inode is one of the hottest structures in the simulator (after
@@ -6,8 +6,11 @@
 // std::unordered_map pays a prime-modulo plus a node chase per find and a
 // node allocation per insert; this table instead keeps:
 //
-//   index_  open addressing (linear probe, murmur-mixed hash, backward-shift
-//           deletion) mapping InodeId -> slab position,
+//   index_  a FlatIndex (src/sim/flat_index.h) of slab positions, probed
+//           with the murmur-mixed HashInode,
+//   inos_   each slab position's inode id (kInvalidInode when free): the
+//           keys the probe compares, dense so a probe step never touches
+//           the slab,
 //   slab_   a std::deque<Inode> (stable addresses across growth) whose freed
 //           positions are recycled through a LIFO free list.
 //
@@ -17,11 +20,11 @@
 #ifndef SRC_SIM_INODE_TABLE_H_
 #define SRC_SIM_INODE_TABLE_H_
 
-#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <vector>
 
+#include "src/sim/flat_index.h"
 #include "src/sim/inode.h"
 #include "src/sim/types.h"
 
@@ -29,15 +32,13 @@ namespace fsbench {
 
 class InodeTable {
  public:
-  InodeTable() : index_(kInitialSlots), mask_(kInitialSlots - 1) {}
-
   const Inode* Find(InodeId ino) const {
-    const IndexSlot& slot = index_[Probe(ino)];
-    return slot.ino == ino ? &slab_[slot.pos] : nullptr;
+    const uint32_t pos = index_.at(Probe(ino));
+    return pos != FlatIndex::kEmpty ? &slab_[pos] : nullptr;
   }
   Inode* Find(InodeId ino) {
-    const IndexSlot& slot = index_[Probe(ino)];
-    return slot.ino == ino ? &slab_[slot.pos] : nullptr;
+    const uint32_t pos = index_.at(Probe(ino));
+    return pos != FlatIndex::kEmpty ? &slab_[pos] : nullptr;
   }
 
   // Inserts a fresh inode (its id must not be present). The returned pointer
@@ -47,67 +48,48 @@ class InodeTable {
   // Removes an inode; its slab position is recycled and its storage freed.
   void Erase(InodeId ino);
 
-  size_t size() const { return size_; }
+  size_t size() const { return index_.size(); }
 
-  // Iterates live inodes in unspecified order.
+  // Iterates live inodes in slab order: allocation order, with an inode
+  // that recycled a freed position visited where that position lies. The
+  // order is a function of the insert/erase sequence alone, never of the
+  // index's geometry.
   class const_iterator {
    public:
-    const_iterator(const InodeTable* table, size_t pos) : table_(table), pos_(pos) { Settle(); }
-    const Inode& operator*() const { return table_->slab_[table_->index_[pos_].pos]; }
-    const Inode* operator->() const { return &**this; }
+    using SlabIterator = std::deque<Inode>::const_iterator;
+    const_iterator(SlabIterator it, SlabIterator end) : it_(it), end_(end) { Settle(); }
+    const Inode& operator*() const { return *it_; }
+    const Inode* operator->() const { return &*it_; }
     const_iterator& operator++() {
-      ++pos_;
+      ++it_;
       Settle();
       return *this;
     }
-    bool operator==(const const_iterator& other) const { return pos_ == other.pos_; }
-    bool operator!=(const const_iterator& other) const { return pos_ != other.pos_; }
+    bool operator==(const const_iterator& other) const { return it_ == other.it_; }
+    bool operator!=(const const_iterator& other) const { return it_ != other.it_; }
 
    private:
     void Settle() {
-      while (pos_ < table_->index_.size() && table_->index_[pos_].ino == kInvalidInode) {
-        ++pos_;
+      while (it_ != end_ && it_->ino == kInvalidInode) {  // freed position
+        ++it_;
       }
     }
-    const InodeTable* table_;
-    size_t pos_;
+    SlabIterator it_;
+    SlabIterator end_;
   };
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, index_.size()); }
+  const_iterator begin() const { return const_iterator(slab_.begin(), slab_.end()); }
+  const_iterator end() const { return const_iterator(slab_.end(), slab_.end()); }
 
  private:
-  static constexpr size_t kInitialSlots = 64;
-
-  // kInvalidInode (0) is never a live id, so it doubles as the empty marker.
-  struct IndexSlot {
-    InodeId ino = kInvalidInode;
-    uint32_t pos = 0;
-  };
-
-  // Sequential inode ids need mixing before masking or consecutive files
-  // would form one long probe run (same lesson as PageKeyHash's finalizer).
-  static size_t Mix(InodeId ino) {
-    uint64_t h = ino * 0x9e3779b97f4a7c15ULL;
-    h ^= h >> 29;
-    return static_cast<size_t>(h);
-  }
-
-  // Slot holding `ino`, or the first empty slot of its probe run.
+  // Index slot holding `ino`'s slab position, or the empty end of its run.
   size_t Probe(InodeId ino) const {
-    size_t slot = Mix(ino) & mask_;
-    while (index_[slot].ino != kInvalidInode && index_[slot].ino != ino) {
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
+    return index_.Probe(HashInode(ino), [this, ino](uint32_t pos) { return inos_[pos] == ino; });
   }
-
-  void Grow();
 
   std::deque<Inode> slab_;
+  std::vector<InodeId> inos_;
   std::vector<uint32_t> free_;  // recycled slab positions, LIFO
-  std::vector<IndexSlot> index_;
-  size_t mask_;
-  size_t size_ = 0;
+  FlatIndex index_;
 };
 
 }  // namespace fsbench

@@ -38,10 +38,11 @@ struct MachineConfig {
   double disk_speed_jitter = 0.05;    // per-run uniform +- fraction
   DiskParams disk;
   // Default device kind for the whole fleet (per-device overrides live in
-  // ArrayConfig::device_kinds). kSsd builds SsdModel devices from `ssd`
-  // (capacity machine-managed: overridden with disk.capacity so the file
-  // system layout and the device always agree) behind kMultiQueue
-  // schedulers; kHdd keeps the historical DiskModel + `scheduler` stack.
+  // ArrayConfig::device_kinds). The kind also picks each device's
+  // scheduler. kSsd builds SsdModel devices from `ssd` (capacity
+  // machine-managed: overridden with disk.capacity so the file system
+  // layout and the device always agree) behind kMultiQueue schedulers;
+  // kHdd keeps the historical DiskModel behind a kElevator scheduler.
   DeviceKind device = DeviceKind::kHdd;
   SsdParams ssd;
   FsLayoutParams layout;
@@ -55,7 +56,6 @@ struct MachineConfig {
   // timer), deltas batched in the in-memory CIL until then.
   JournalConfig xfs_journal{JournalMode::kOrdered, 30 * kSecond};
   uint64_t xfs_log_blocks = 8192;
-  SchedulerKind scheduler = SchedulerKind::kElevator;
   EvictionPolicyKind eviction = EvictionPolicyKind::kLru;
   Nanos syscall_overhead = 3500;
   Nanos page_copy_cost = 500;

@@ -5,25 +5,6 @@
 
 namespace fsbench {
 
-namespace {
-
-// Smallest power of two >= max(n, minimum), for table sizing.
-size_t TableSizeFor(size_t n, size_t minimum) {
-  size_t size = minimum;
-  while (size < n) {
-    size <<= 1;
-  }
-  return size;
-}
-
-size_t HashInode(InodeId ino) {
-  uint64_t h = ino * 0x9e3779b97f4a7c15ULL;
-  h ^= h >> 29;
-  return static_cast<size_t>(h);
-}
-
-}  // namespace
-
 PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
     : capacity_(capacity_pages),
       kind_(policy_kind),
@@ -38,51 +19,18 @@ PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
   blocks_.reserve(max_nodes);
   hashes_.reserve(max_nodes);
   slots_.reserve(max_nodes);
-  // Keep the load factor at or under 0.25 at the worst-case live-node count
-  // so linear probes are nearly collision-free and the table never rehashes.
-  // Slots are 4 bytes; even the default ~105k-page ARC cache pays only 4 MiB.
-  table_.assign(TableSizeFor(4 * max_nodes, 16), kNil);
-  table_mask_ = table_.size() - 1;
-  inode_index_.assign(64, InodeSlot{});
-  inode_index_mask_ = inode_index_.size() - 1;
+  // Sized for the worst-case live-node count, so the table never rehashes.
+  table_.Reserve(max_nodes);
 }
 
 // --- hash table -------------------------------------------------------------
 
-void PageCache::TableInsertAt(size_t slot, uint32_t node) {
-  assert(table_[slot] == kNil);
-  table_[slot] = node;
-  slots_[node] = static_cast<uint32_t>(slot);
-}
-
 void PageCache::TableEraseNode(uint32_t node) {
-  size_t hole = slots_[node];
-  assert(table_[hole] == node);
+  assert(table_.at(slots_[node]) == node);
   ++table_erase_count_;
-  // Backward-shift deletion: walk the probe run after `hole`, moving back
-  // any entry whose home slot lies cyclically at or before the hole, so
-  // every remaining key stays reachable from its home without tombstones.
-  size_t slot = hole;
-  for (;;) {
-    slot = (slot + 1) & table_mask_;
-    const uint32_t moved = table_[slot];
-    if (moved == kNil) {
-      break;
-    }
-    const size_t home = hashes_[moved] & table_mask_;
-    // Keep the entry in place only if its home lies cyclically in
-    // (hole, slot]; otherwise it was pushed past the hole by probing.
-    const size_t hole_distance = (slot - hole) & table_mask_;
-    const size_t home_distance = (slot - home) & table_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    table_[hole] = moved;
-    slots_[moved] = static_cast<uint32_t>(hole);
-    hole = slot;
-  }
-  table_[hole] = kNil;
-  last_erase_hole_ = hole;
+  last_erase_hole_ = table_.Erase(
+      slots_[node], [this](uint32_t n) { return hashes_[n]; },
+      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
 }
 
 // --- slab -------------------------------------------------------------------
@@ -153,43 +101,20 @@ void PageCache::ListLinkBefore(CacheListId id, uint32_t pos, uint32_t n) {
 
 // --- per-inode chain --------------------------------------------------------
 
-size_t PageCache::InodeProbe(InodeId ino) const {
-  size_t slot = HashInode(ino) & inode_index_mask_;
-  while (inode_index_[slot].head != kNil && inode_index_[slot].ino != ino) {
-    slot = (slot + 1) & inode_index_mask_;
-  }
-  return slot;
-}
-
-void PageCache::InodeIndexGrow() {
-  std::vector<InodeSlot> old = std::move(inode_index_);
-  inode_index_.assign(old.size() * 2, InodeSlot{});
-  inode_index_mask_ = inode_index_.size() - 1;
-  for (const InodeSlot& entry : old) {
-    if (entry.head != kNil) {
-      inode_index_[InodeProbe(entry.ino)] = entry;
-    }
-  }
-}
-
 void PageCache::InodeChainLink(uint32_t n) {
   const InodeId ino = keys_[n].ino;
-  size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
-    if ((inode_index_used_ + 1) * 10 > inode_index_.size() * 7) {
-      InodeIndexGrow();
-      slot = InodeProbe(ino);
-    }
-    inode_index_[slot] = InodeSlot{ino, n};
-    ++inode_index_used_;
+  const size_t slot = InodeProbe(ino);
+  const uint32_t head = inode_index_.at(slot);
+  if (head == kNil) {
+    inode_index_.Insert(slot, n, HashInode(ino),
+                        [this](uint32_t h) { return HashInode(keys_[h].ino); });
     ino_links_[n] = Link{};
     return;
   }
-  const uint32_t head = inode_index_[slot].head;
   ino_links_[n].prev = kNil;
   ino_links_[n].next = head;
   ino_links_[head].prev = n;
-  inode_index_[slot].head = n;
+  inode_index_.Replace(slot, n);
 }
 
 void PageCache::InodeChainUnlink(uint32_t n) {
@@ -201,7 +126,7 @@ void PageCache::InodeChainUnlink(uint32_t n) {
     if (link.next == kNil) {
       InodeIndexErase(slot);
     } else {
-      inode_index_[slot].head = link.next;
+      inode_index_.Replace(slot, link.next);
     }
   }
   if (link.next != kNil) {
@@ -211,24 +136,7 @@ void PageCache::InodeChainUnlink(uint32_t n) {
 }
 
 void PageCache::InodeIndexErase(size_t slot) {
-  // Backward-shift deletion, mirroring TableEraseNode.
-  size_t hole = slot;
-  for (;;) {
-    slot = (slot + 1) & inode_index_mask_;
-    if (inode_index_[slot].head == kNil) {
-      break;
-    }
-    const size_t home = HashInode(inode_index_[slot].ino) & inode_index_mask_;
-    const size_t hole_distance = (slot - hole) & inode_index_mask_;
-    const size_t home_distance = (slot - home) & inode_index_mask_;
-    if (home_distance < hole_distance) {
-      continue;
-    }
-    inode_index_[hole] = inode_index_[slot];
-    hole = slot;
-  }
-  inode_index_[hole] = InodeSlot{};
-  --inode_index_used_;
+  inode_index_.Erase(slot, [this](uint32_t head) { return HashInode(keys_[head].ino); });
 }
 
 // --- dirty FIFO -------------------------------------------------------------
@@ -489,7 +397,7 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   }
   const uint32_t hash = HashOf(key);
   size_t slot = ProbeSlot(key, hash);
-  uint32_t n = table_[slot];
+  uint32_t n = table_.at(slot);
   if (n != kNil && IsResidentNode(n)) {
     // Refresh: update block, possibly dirty, touch recency.
     if (dirty && !IsDirty(n)) {
@@ -513,14 +421,13 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     // this key's probe run (a backward shift empties only that hole, and
     // never occupies a previously empty slot).
     const size_t erase_delta = table_erase_count_ - erases_before;
-    const size_t home = hash & table_mask_;
     const bool run_intact =
         erase_delta == 0 ||
         (erase_delta == 1 && n == kNil &&
-         ((last_erase_hole_ - home) & table_mask_) > ((slot - home) & table_mask_));
+         table_.Distance(hash, last_erase_hole_) > table_.Distance(hash, slot));
     if (!run_intact) {
       slot = ProbeSlot(key, hash);
-      n = table_[slot];
+      n = table_.at(slot);
     }
   }
 
@@ -548,13 +455,9 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
 
 size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
   out->clear();
-  const size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
-    return 0;
-  }
   // Chain order (most recently inserted first); callers that care about
   // device ordering sort by block, as the VFS writeback path does.
-  for (uint32_t n = inode_index_[slot].head; n != kNil; n = ino_links_[n].next) {
+  for (uint32_t n = inode_index_.at(InodeProbe(ino)); n != kNil; n = ino_links_[n].next) {
     if (IsDirty(n)) {
       out->push_back(Evicted{keys_[n], blocks_[n], true});
       DirtyChainUnlink(n);
@@ -609,10 +512,10 @@ void PageCache::Remove(const PageKey& key) {
 
 void PageCache::RemoveFile(InodeId ino) {
   const size_t slot = InodeProbe(ino);
-  if (inode_index_[slot].head == kNil) {
+  uint32_t n = inode_index_.at(slot);
+  if (n == kNil) {
     return;
   }
-  uint32_t n = inode_index_[slot].head;
   InodeIndexErase(slot);
   while (n != kNil) {
     const uint32_t next = ino_links_[n].next;
@@ -633,8 +536,7 @@ void PageCache::Clear() {
       RemoveResidentNode(AnchorOf(id).head, /*maintain_inode_chain=*/false);
     }
   }
-  inode_index_.assign(inode_index_.size(), InodeSlot{});
-  inode_index_used_ = 0;
+  inode_index_.Clear();
   clock_hand_ = kNil;
   dirty_head_ = dirty_tail_ = kNil;
   dirty_count_ = 0;
@@ -678,7 +580,7 @@ bool PageCache::CheckInvariants(const char** why) const {
         *why = "table probe does not resolve to the node";
         return false;
       }
-      if (table_[slots_[n]] != n || hashes_[n] != HashOf(keys_[n])) {
+      if (table_.at(slots_[n]) != n || hashes_[n] != HashOf(keys_[n])) {
         *why = "node slot back-pointer or cached hash stale";
         return false;
       }
@@ -713,16 +615,23 @@ bool PageCache::CheckInvariants(const char** why) const {
     *why = "dirty chain length or tail mismatch";
     return false;
   }
-  // Inode chains: together they cover exactly the resident set.
+  // Inode chains: together they cover exactly the resident set. The walk
+  // tallies and checks each chain on its own, so the verdict is the same in
+  // any slot order.
   size_t chained = 0;
-  for (const InodeSlot& entry : inode_index_) {
-    if (entry.head == kNil) {
+  // detlint: order-insensitive
+  for (const uint32_t head : inode_index_) {
+    if (head == kNil) {
       continue;
     }
+    const InodeId ino = keys_[head].ino;
+    if (inode_index_.at(InodeProbe(ino)) != head) {
+      *why = "inode index probe does not resolve to the chain head";
+      return false;
+    }
     uint32_t ino_prev = kNil;
-    for (uint32_t n = entry.head; n != kNil; n = ino_links_[n].next) {
-      if (keys_[n].ino != entry.ino || !IsResidentNode(n) ||
-          ino_links_[n].prev != ino_prev) {
+    for (uint32_t n = head; n != kNil; n = ino_links_[n].next) {
+      if (keys_[n].ino != ino || !IsResidentNode(n) || ino_links_[n].prev != ino_prev) {
         *why = "inode chain member inconsistent";
         return false;
       }
@@ -734,12 +643,13 @@ bool PageCache::CheckInvariants(const char** why) const {
     *why = "inode chains do not cover the resident set";
     return false;
   }
-  // Table population matches the live-node count.
+  // Table population matches the live-node count (a count: any slot order).
   size_t table_entries = 0;
+  // detlint: order-insensitive
   for (const uint32_t entry : table_) {
     table_entries += entry != kNil ? 1 : 0;
   }
-  if (table_entries != live_count_) {
+  if (table_entries != live_count_ || table_.size() != live_count_) {
     *why = "table population does not match live count";
     return false;
   }

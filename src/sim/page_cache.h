@@ -5,11 +5,12 @@
 // mapping lookup). Capacity is fixed in pages; the eviction policy (LRU,
 // CLOCK, 2Q, ARC) is selected at construction.
 //
-// Layout: one open-addressing hash table maps PageKey -> node index into a
-// slab of parallel arrays ("structure of arrays": each access class lives in
-// its own dense array, so a hot path only pulls the cache lines it needs):
+// Layout: one FlatIndex (src/sim/flat_index.h) maps PageKey -> node index
+// into a slab of parallel arrays ("structure of arrays": each access class
+// lives in its own dense array, so a hot path only pulls the cache lines it
+// needs):
 //
-//   table_ (open addressing, linear probe, backward-shift deletion)
+//   table_ (FlatIndex: linear probe, backward-shift deletion)
 //     PageKey ──hash──> node index n ──┐
 //                                      v
 //   keys_[n]        identity, compared while probing
@@ -32,7 +33,8 @@
 //   - TakeDirty: pops the dirty chain head, O(pages taken), in deterministic
 //     first-dirtied order (FIFO writeback).
 // The slab and table are pre-sized from PolicyGeometry::max_live_nodes, so
-// steady-state operation never allocates or rehashes.
+// steady-state operation never allocates or rehashes. A second FlatIndex,
+// inode_index_, maps each inode to the head node of its chain.
 #ifndef SRC_SIM_PAGE_CACHE_H_
 #define SRC_SIM_PAGE_CACHE_H_
 
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
+#include "src/sim/flat_index.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -159,7 +162,7 @@ class PageCache {
   bool CheckInvariants(const char** why = nullptr) const;
 
  private:
-  static constexpr uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr uint32_t kNil = FlatIndex::kEmpty;
 
   struct Link {
     uint32_t prev = kNil;
@@ -178,14 +181,6 @@ class PageCache {
     size_t size = 0;
   };
 
-  // Open-addressing map from InodeId to the head of that inode's resident
-  // chain. An entry is empty iff head == kNil (InodeId has no spare
-  // sentinel: kMetaInode is a real key).
-  struct InodeSlot {
-    InodeId ino = kInvalidInode;
-    uint32_t head = kNil;
-  };
-
   CacheListId ListOf(uint32_t n) const {
     return static_cast<CacheListId>(list_meta_[n] & kListMask);
   }
@@ -197,9 +192,9 @@ class PageCache {
   bool IsResidentNode(uint32_t n) const { return IsResidentList(ListOf(n)); }
 
   // --- hash table (PageKey -> node index) ---
-  // Slots hold node indices (kNil when free). Erasing goes by node, not
-  // key: the probe starts directly at slots_[n], and the backward shift
-  // takes each displaced entry's home from hashes_[] without rehashing.
+  // Erasing goes by node, not key: the backward shift starts directly at
+  // slots_[n], takes each displaced node's home from hashes_[] without
+  // rehashing, and keeps slots_[] current as it moves nodes.
   static uint32_t HashOf(const PageKey& key) {
     return static_cast<uint32_t>(PageKeyHash{}(key));
   }
@@ -221,8 +216,11 @@ class PageCache {
   void ListMoveToFront(uint32_t n);
 
   // --- per-inode chain ---
-  size_t InodeProbe(InodeId ino) const;
-  void InodeIndexGrow();
+  // inode_index_ holds each chain's head node; the head's key names the inode.
+  size_t InodeProbe(InodeId ino) const {
+    return inode_index_.Probe(HashInode(ino),
+                              [this, ino](uint32_t head) { return keys_[head].ino == ino; });
+  }
   void InodeChainLink(uint32_t n);
   void InodeChainUnlink(uint32_t n);
   void InodeIndexErase(size_t slot);
@@ -260,8 +258,7 @@ class PageCache {
   size_t slab_size_ = 0;         // nodes ever allocated
   uint32_t free_head_ = kNil;    // free list threaded through links_[].next
 
-  std::vector<uint32_t> table_;  // node indices; kNil == empty
-  size_t table_mask_ = 0;
+  FlatIndex table_;
   size_t table_erase_count_ = 0;  // monotone; detects probe-run invalidation
   size_t last_erase_hole_ = 0;    // final hole of the latest backward shift
 
@@ -269,9 +266,7 @@ class PageCache {
   uint32_t clock_hand_ = kNil;  // kNil doubles as the ring's "end" position
   double arc_p_ = 0.0;
 
-  std::vector<InodeSlot> inode_index_;
-  size_t inode_index_mask_ = 0;
-  size_t inode_index_used_ = 0;
+  FlatIndex inode_index_;
 
   uint32_t dirty_head_ = kNil;  // oldest first-dirtied page
   uint32_t dirty_tail_ = kNil;
@@ -285,18 +280,17 @@ class PageCache {
 // --- inline hot path --------------------------------------------------------
 
 inline size_t PageCache::ProbeSlot(const PageKey& key, uint32_t hash) const {
-  size_t slot = hash & table_mask_;
-  for (;;) {
-    const uint32_t node = table_[slot];
-    if (node == kNil || keys_[node] == key) {
-      return slot;
-    }
-    slot = (slot + 1) & table_mask_;
-  }
+  return table_.Probe(hash, [this, &key](uint32_t n) { return keys_[n] == key; });
 }
 
 inline uint32_t PageCache::FindNode(const PageKey& key) const {
-  return table_[ProbeSlot(key, HashOf(key))];
+  return table_.at(ProbeSlot(key, HashOf(key)));
+}
+
+inline void PageCache::TableInsertAt(size_t slot, uint32_t node) {
+  slots_[node] = static_cast<uint32_t>(table_.Insert(
+      slot, node, hashes_[node], [this](uint32_t n) { return hashes_[n]; },
+      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); }));
 }
 
 inline void PageCache::ListPushFront(CacheListId id, uint32_t n) {

@@ -15,6 +15,15 @@ using InodeId = uint64_t;
 inline constexpr InodeId kInvalidInode = 0;
 inline constexpr InodeId kRootInode = 1;
 
+// Hash of an inode id for the open-addressing indexes (src/sim/flat_index.h).
+// Sequential ids need mixing before masking or consecutive files would form
+// one long probe run (same lesson as PageKeyHash's finalizer).
+inline uint64_t HashInode(InodeId ino) {
+  uint64_t h = ino * 0x9e3779b97f4a7c15ULL;
+  h ^= h >> 29;
+  return h;
+}
+
 // Device block number (file-system block, not sector).
 using BlockId = uint64_t;
 inline constexpr BlockId kInvalidBlock = ~0ULL;

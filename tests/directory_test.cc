@@ -56,7 +56,7 @@ TEST(DirectoryTest, BlockCountGrowsWithSlots) {
   Directory dir;
   EXPECT_EQ(dir.BlockCount(64), 1u);  // empty dir still has one block
   for (int i = 0; i < 64; ++i) {
-    dir.Insert("f" + std::to_string(i), i + 1);
+    dir.Insert('f' + std::to_string(i), i + 1);
   }
   EXPECT_EQ(dir.BlockCount(64), 1u);
   dir.Insert("overflow", 1000);
@@ -113,16 +113,16 @@ TEST(DirectoryTest, IndexSurvivesGrowthAndChurn) {
   Directory dir;
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 200; ++i) {
-      const std::string name = "r" + std::to_string(round) + "_" + std::to_string(i);
+      const std::string name = 'r' + std::to_string(round) + '_' + std::to_string(i);
       ASSERT_TRUE(dir.Insert(name, round * 1000 + i + 1));
     }
     for (int i = 0; i < 200; i += 3) {
-      ASSERT_TRUE(dir.Remove("r" + std::to_string(round) + "_" + std::to_string(i)).has_value());
+      ASSERT_TRUE(dir.Remove('r' + std::to_string(round) + '_' + std::to_string(i)).has_value());
     }
   }
   for (int round = 0; round < 4; ++round) {
     for (int i = 0; i < 200; ++i) {
-      const std::string name = "r" + std::to_string(round) + "_" + std::to_string(i);
+      const std::string name = 'r' + std::to_string(round) + '_' + std::to_string(i);
       const auto found = dir.Lookup(name);
       if (i % 3 == 0) {
         EXPECT_EQ(found, std::nullopt) << name;
@@ -137,14 +137,14 @@ TEST(DirectoryTest, IndexSurvivesGrowthAndChurn) {
 TEST(DirectoryTest, ManyEntriesStressHoles) {
   Directory dir;
   for (int i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(dir.Insert("f" + std::to_string(i), i + 1));
+    ASSERT_TRUE(dir.Insert('f' + std::to_string(i), i + 1));
   }
   for (int i = 0; i < 1000; i += 2) {
-    ASSERT_TRUE(dir.Remove("f" + std::to_string(i)).has_value());
+    ASSERT_TRUE(dir.Remove('f' + std::to_string(i)).has_value());
   }
   EXPECT_EQ(dir.entry_count(), 500u);
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(dir.Insert("g" + std::to_string(i), 2000 + i));
+    ASSERT_TRUE(dir.Insert('g' + std::to_string(i), 2000 + i));
   }
   // All holes reused: slot count unchanged.
   EXPECT_EQ(dir.slot_count(), 1000u);

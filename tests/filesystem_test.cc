@@ -202,7 +202,7 @@ TEST_P(FileSystemSweep, LookupChargesDirectoryReads) {
   MetaIo io;
   // Populate enough entries to span several directory blocks.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(fs_->Create(kRootInode, "f" + std::to_string(i), FileType::kRegular, &io).ok());
+    ASSERT_TRUE(fs_->Create(kRootInode, 'f' + std::to_string(i), FileType::kRegular, &io).ok());
   }
   MetaIo hit_io;
   ASSERT_TRUE(fs_->Lookup(kRootInode, "f0", &hit_io).ok());
@@ -217,7 +217,7 @@ TEST_P(FileSystemSweep, RandomChurnStaysConsistent) {
   std::vector<std::string> live;
   for (int step = 0; step < 600; ++step) {
     if (rng.NextDouble() < 0.6 || live.empty()) {
-      const std::string name = "n" + std::to_string(step);
+      const std::string name = 'n' + std::to_string(step);
       const auto created = fs_->Create(kRootInode, name, FileType::kRegular, &io);
       ASSERT_TRUE(created.ok());
       // Give it some blocks.

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 namespace fsbench {
 namespace {
@@ -96,6 +97,45 @@ TEST(InodeTableTest, IterationVisitsEveryLiveInodeOnce) {
   for (InodeId ino = 1; ino <= 100; ++ino) {
     EXPECT_EQ(seen.count(ino), ino < 10 || ino > 50 ? 1u : 0u) << ino;
   }
+}
+
+TEST(InodeTableTest, IterationFollowsSlabOrder) {
+  // The walk order is slab order, a function of the insert/erase sequence
+  // alone: allocation order, with an inode that recycled a freed position
+  // (LIFO) visited where that position lies. Enough inodes to grow the
+  // index, whose probe order would scatter them.
+  InodeTable table;
+  std::vector<InodeId> slab;  // expected slab contents, by position
+  for (InodeId ino = 1; ino <= 100; ++ino) {
+    table.Insert(MakeInode(ino));
+    slab.push_back(ino);
+  }
+  std::vector<size_t> freed;
+  for (InodeId ino = 5; ino <= 100; ino += 7) {
+    table.Erase(ino);
+    freed.push_back(ino - 1);
+    slab[ino - 1] = kInvalidInode;
+  }
+  for (InodeId ino = 1000; ino < 1020; ++ino) {
+    table.Insert(MakeInode(ino));
+    if (freed.empty()) {
+      slab.push_back(ino);
+    } else {
+      slab[freed.back()] = ino;
+      freed.pop_back();
+    }
+  }
+  std::vector<InodeId> expected;
+  for (const InodeId ino : slab) {
+    if (ino != kInvalidInode) {
+      expected.push_back(ino);
+    }
+  }
+  std::vector<InodeId> visited;
+  for (const Inode& inode : table) {
+    visited.push_back(inode.ino);
+  }
+  EXPECT_EQ(visited, expected);
 }
 
 }  // namespace

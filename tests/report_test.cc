@@ -104,7 +104,7 @@ TEST(ReportTest, NanoSuiteGroupsByDimension) {
   io.name = "io.test";
   io.dimension = Dimension::kIo;
   io.value = 1.0;
-  io.unit = "x";
+  io.unit = 'x';
   NanoResult cache = io;
   cache.name = "cache.test";
   cache.dimension = Dimension::kCaching;

@@ -260,9 +260,12 @@ const std::set<std::string>& StdScalarTypes() {
   return kTypes;
 }
 
+// Containers whose iteration order is set by hashing. FlatIndex
+// (src/sim/flat_index.h) is the simulator's own open-addressing index; it
+// is not a template, so its declarations read `FlatIndex name`.
 const std::set<std::string>& UnorderedContainerNames() {
   static const std::set<std::string> kNames = {
-      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset",
+      "unordered_map", "unordered_set", "unordered_multimap", "unordered_multiset", "FlatIndex",
   };
   return kNames;
 }
@@ -385,13 +388,15 @@ void CollectSymbols(const std::vector<std::pair<SourceFile, LexedFile>>& lexed,
     std::set<std::string>& vars = proj->unordered_vars[Stem(file.rel)];
     for (size_t i = 0; i < ts.size(); ++i) {
       size_t after_type = 0;
-      if (UnorderedContainerNames().count(ts[i].text) && i + 1 < ts.size() &&
-          ts[i + 1].text == "<") {
+      const bool container = UnorderedContainerNames().count(ts[i].text) != 0;
+      if (container && i + 1 < ts.size() && ts[i + 1].text == "<") {
         // Not part of a `using` alias definition (those are tracked by name).
         after_type = SkipAngles(ts, i + 1, ts.size());
-      } else if (proj->unordered_aliases.count(ts[i].text) &&
+      } else if ((container || proj->unordered_aliases.count(ts[i].text)) &&
                  ts[i].kind == TokKind::kIdent && i + 1 < ts.size() &&
-                 ts[i + 1].kind == TokKind::kIdent) {
+                 (ts[i + 1].kind == TokKind::kIdent || ts[i + 1].text == "&" ||
+                  ts[i + 1].text == "*")) {
+        // The name alone is the whole type: an alias or a non-template.
         after_type = i + 1;
       }
       if (after_type == 0 || after_type >= ts.size()) {

@@ -50,6 +50,16 @@ TEST(DetlintR1, AcceptsAnnotatedAndLookupOnlyUse) {
   EXPECT_EQ(findings.size(), 0u) << FormatFinding(findings.empty() ? Finding{} : findings[0]);
 }
 
+TEST(DetlintR1, FlagsFlatIndexIteration) {
+  const auto findings = LintFixture("r1_flat_index_bad.cc");
+  EXPECT_EQ(CountRule(findings, "R1"), 2) << "range-for over a member + begin() on a reference";
+}
+
+TEST(DetlintR1, AcceptsFlatIndexProbesAndAnnotatedWalks) {
+  const auto findings = LintFixture("r1_flat_index_good.cc");
+  EXPECT_EQ(findings.size(), 0u) << FormatFinding(findings.empty() ? Finding{} : findings[0]);
+}
+
 TEST(DetlintR1, PairsHeaderDeclarationWithSourceIteration) {
   // The member is declared in the header; the hazardous loop lives in the
   // same-stem .cc — exactly the FlashTier::RemoveFile shape.
