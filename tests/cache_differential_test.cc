@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/page_cache.h"
@@ -20,11 +21,20 @@
 namespace fsbench {
 namespace {
 
+// gtest names each ctest case after a byte dump of its parameter, so the
+// struct carries no padding: `reserved` holds the bytes after `kind` as zeros,
+// and the case names are the same in every build.
 struct TraceParam {
   EvictionPolicyKind kind;
+  uint8_t reserved[alignof(size_t) - sizeof(EvictionPolicyKind)];
   size_t capacity;
   uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TraceParam>);
+
+TraceParam Trace(EvictionPolicyKind kind, size_t capacity, uint64_t seed) {
+  return TraceParam{kind, {}, capacity, seed};
+}
 
 std::string ParamName(const ::testing::TestParamInfo<TraceParam>& info) {
   return std::string(EvictionPolicyKindName(info.param.kind)) + "_cap" +
@@ -163,15 +173,15 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
 
 INSTANTIATE_TEST_SUITE_P(
     Traces, CacheDifferential,
-    ::testing::Values(TraceParam{EvictionPolicyKind::kLru, 64, 1},
-                      TraceParam{EvictionPolicyKind::kLru, 4, 2},
-                      TraceParam{EvictionPolicyKind::kClock, 64, 1},
-                      TraceParam{EvictionPolicyKind::kClock, 4, 2},
-                      TraceParam{EvictionPolicyKind::kTwoQueue, 64, 1},
-                      TraceParam{EvictionPolicyKind::kTwoQueue, 4, 2},
-                      TraceParam{EvictionPolicyKind::kArc, 64, 1},
-                      TraceParam{EvictionPolicyKind::kArc, 4, 2},
-                      TraceParam{EvictionPolicyKind::kArc, 48, 3}),
+    ::testing::Values(Trace(EvictionPolicyKind::kLru, 64, 1),
+                      Trace(EvictionPolicyKind::kLru, 4, 2),
+                      Trace(EvictionPolicyKind::kClock, 64, 1),
+                      Trace(EvictionPolicyKind::kClock, 4, 2),
+                      Trace(EvictionPolicyKind::kTwoQueue, 64, 1),
+                      Trace(EvictionPolicyKind::kTwoQueue, 4, 2),
+                      Trace(EvictionPolicyKind::kArc, 64, 1),
+                      Trace(EvictionPolicyKind::kArc, 4, 2),
+                      Trace(EvictionPolicyKind::kArc, 48, 3)),
     ParamName);
 
 }  // namespace
