@@ -96,6 +96,8 @@ struct FaultSummary {
   uint64_t degraded_reads = 0;     // reads served while remounted read-only
   uint64_t readonly_rejects = 0;   // mutations refused with kReadOnly
   uint64_t failed_ops = 0;         // workload ops absorbed by continue_on_error
+
+  bool operator==(const FaultSummary& other) const = default;
 };
 
 struct RunResult {
@@ -124,6 +126,8 @@ struct RunResult {
   ArraySummary array;
   // Crash-scenario outcome (set iff the config asked for a crash).
   std::optional<CrashReport> crash_report;
+
+  bool operator==(const RunResult& other) const = default;
 };
 
 struct ExperimentResult {
@@ -136,6 +140,7 @@ struct ExperimentResult {
   std::vector<double> ThroughputSamples() const;
   const RunResult& representative() const { return runs.front(); }
   bool AllOk() const;
+  bool operator==(const ExperimentResult& other) const = default;
 };
 
 class Experiment {

@@ -41,6 +41,8 @@ class LatencyHistogram {
   int FirstBucket() const;
   int LastBucket() const;
 
+  bool operator==(const LatencyHistogram& other) const = default;
+
  private:
   std::array<uint64_t, kBuckets> counts_{};
   uint64_t total_ = 0;

@@ -31,6 +31,8 @@ class RunningStats {
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return sum_; }
 
+  bool operator==(const RunningStats& other) const = default;
+
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
@@ -57,6 +59,7 @@ struct Summary {
 
   double ci95_lo() const { return mean - ci95_half_width; }
   double ci95_hi() const { return mean + ci95_half_width; }
+  bool operator==(const Summary& other) const = default;
 };
 
 Summary Summarize(std::vector<double> values);

@@ -23,6 +23,8 @@ struct SweepCell {
   Summary throughput;
   double cache_hit_ratio = 0.0;
   bool ok = false;
+
+  bool operator==(const SweepCell& other) const = default;
 };
 
 struct SweepMatrixResult {
@@ -36,6 +38,7 @@ struct SweepMatrixResult {
   const SweepCell& at(size_t row, size_t col) const {
     return cells[row * col_params.size() + col];
   }
+  bool operator==(const SweepMatrixResult& other) const = default;
 };
 
 class SweepMatrix {

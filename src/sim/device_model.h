@@ -79,6 +79,8 @@ struct DiskStats {
   uint64_t gc_page_moves = 0;
   uint64_t gc_erases = 0;
   Nanos total_gc_time = 0;
+
+  bool operator==(const DiskStats& other) const = default;
 };
 
 // Outcome of one access attempt. Exactly one of `service` (success) or

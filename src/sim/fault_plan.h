@@ -90,6 +90,8 @@ struct FaultPlanStats {
   uint64_t persistent_faults = 0;
   uint64_t slow_ios = 0;
   uint64_t burst_faults = 0;  // transient faults drawn inside the burst window
+
+  bool operator==(const FaultPlanStats& other) const = default;
 };
 
 // Verdict for one access attempt.

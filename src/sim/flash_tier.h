@@ -43,7 +43,6 @@ namespace fsbench {
 struct FlashTierConfig {
   Bytes capacity = 1 * kGiB;
   Nanos read_latency = 90 * kMicrosecond;    // device read + DMA
-  Nanos write_latency = 120 * kMicrosecond;  // admission cost (charged async-free)
   Bytes page_size = 4 * kKiB;
 };
 
@@ -52,6 +51,8 @@ struct FlashTierStats {
   uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
+
+  bool operator==(const FlashTierStats& other) const = default;
 };
 
 class FlashTier {

@@ -126,6 +126,8 @@ struct IoSchedulerStats {
   size_t max_queue_depth = 0;        // in-flight + queued async + the arriving request
   uint64_t async_throttle_stalls = 0;   // submissions that hit the bounded queue
   Nanos total_async_throttle_time = 0;  // producer stall charged by back-pressure
+
+  bool operator==(const IoSchedulerStats& other) const = default;
 };
 
 class IoScheduler : public BlockIo {

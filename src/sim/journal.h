@@ -50,6 +50,8 @@ struct JournalStats {
   uint64_t blocks_logged = 0;
   uint64_t cil_inserts = 0;  // deltas absorbed by the in-memory CIL
   uint64_t cil_pushes = 0;   // CIL contexts pushed into the log
+
+  bool operator==(const JournalStats& other) const = default;
 };
 
 // Client interface the VFS (and the machine wiring) programs against.

@@ -54,6 +54,8 @@ struct PageCacheStats {
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   uint64_t dirty_evictions = 0;
+
+  bool operator==(const PageCacheStats& other) const = default;
 };
 
 class PageCache {

@@ -70,6 +70,8 @@ struct VfsStats {
   uint64_t meta_write_errors = 0;  // subset that hit metadata or journal-log writes
   uint64_t degraded_reads = 0;     // reads served while the fs was read-only
   uint64_t readonly_rejects = 0;   // mutations refused with kReadOnly
+
+  bool operator==(const VfsStats& other) const = default;
 };
 
 class Vfs : public CheckpointSink, public IoWriteErrorSink {

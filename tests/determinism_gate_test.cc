@@ -2,14 +2,14 @@
 // check. A canonical multi-threaded crash-recovery configuration — the most
 // machinery any run exercises at once (MT engine cursors, shared device
 // timeline, journal commits, crash injection, shadow-disk durability,
-// recovery replay) — is run twice, and a full digest of every RunResult
-// field must match bit for bit. detlint (tools/detlint) enforces the same
+// recovery replay) — is run twice, and every RunResult must compare equal
+// as a whole value (the defaulted operator==, so a new field cannot be
+// left out of the check). detlint (tools/detlint) enforces the same
 // contract statically; this test is the dynamic complement that catches
 // whatever a token scanner cannot (allocator-order effects, float
 // accumulation order, scheduler ties).
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 
 #include "src/core/experiment.h"
@@ -18,197 +18,6 @@
 
 namespace fsbench {
 namespace {
-
-// FNV-1a over explicitly appended fields: field order is part of the
-// digest, so a value migrating between fields cannot cancel out.
-class Digest {
- public:
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xff;
-      h_ *= 1099511628211ULL;
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) {
-    uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Bool(bool v) { U64(v ? 1 : 0); }
-  uint64_t value() const { return h_; }
-
- private:
-  uint64_t h_ = 14695981039346656037ULL;
-};
-
-void DigestHistogram(Digest& d, const LatencyHistogram& h) {
-  d.U64(h.total());
-  for (int b = 0; b < LatencyHistogram::kBuckets; ++b) {
-    d.U64(h.count(b));
-  }
-}
-
-void DigestRunningStats(Digest& d, const RunningStats& s) {
-  d.U64(s.count());
-  d.F64(s.mean());
-  d.F64(s.variance());
-  d.F64(s.min());
-  d.F64(s.max());
-  d.F64(s.sum());
-}
-
-void DigestVfsStats(Digest& d, const VfsStats& s) {
-  d.U64(s.reads);
-  d.U64(s.writes);
-  d.U64(s.creates);
-  d.U64(s.unlinks);
-  d.U64(s.stats_calls);
-  d.U64(s.opens);
-  d.U64(s.fsyncs);
-  d.I64(s.bytes_read);
-  d.I64(s.bytes_written);
-  d.U64(s.data_page_hits);
-  d.U64(s.data_page_misses);
-  d.U64(s.flash_hits);
-  d.U64(s.demand_requests);
-  d.U64(s.readahead_pages);
-  d.U64(s.writeback_pages);
-  d.U64(s.io_errors);
-  d.U64(s.write_errors);
-  d.U64(s.meta_write_errors);
-  d.U64(s.degraded_reads);
-  d.U64(s.readonly_rejects);
-}
-
-void DigestDiskStats(Digest& d, const DiskStats& s) {
-  d.U64(s.reads);
-  d.U64(s.writes);
-  d.U64(s.sectors_read);
-  d.U64(s.sectors_written);
-  d.U64(s.seeks);
-  d.U64(s.buffer_hits);
-  d.U64(s.sequential_hits);
-  d.I64(s.total_service_time);
-  d.I64(s.total_seek_time);
-  d.I64(s.total_rotation_time);
-  d.I64(s.total_transfer_time);
-  d.U64(s.errors);
-  d.I64(s.total_fault_time);
-  d.U64(s.gc_page_moves);
-  d.U64(s.gc_erases);
-  d.I64(s.total_gc_time);
-}
-
-void DigestSchedulerStats(Digest& d, const IoSchedulerStats& s) {
-  d.U64(s.sync_requests);
-  d.U64(s.async_requests);
-  d.U64(s.async_serviced);
-  d.U64(s.async_errors);
-  d.U64(s.sync_errors);
-  d.U64(s.retries);
-  d.U64(s.remaps);
-  d.I64(s.retry_backoff_time);
-  d.I64(s.total_sync_wait);
-  d.I64(s.total_sync_queue_delay);
-  d.U64(s.max_queue_depth);
-  d.U64(s.async_throttle_stalls);
-  d.I64(s.total_async_throttle_time);
-}
-
-void DigestFaultSummary(Digest& d, const FaultSummary& f) {
-  d.U64(f.device_errors);
-  d.U64(f.transient_faults);
-  d.U64(f.persistent_faults);
-  d.U64(f.slow_ios);
-  d.U64(f.retries);
-  d.I64(f.retry_backoff_time);
-  d.U64(f.remapped_regions);
-  d.U64(f.spare_regions_left);
-  d.U64(f.sync_io_failures);
-  d.U64(f.async_io_failures);
-  d.U64(f.meta_io_failures);
-  d.Bool(f.journal_aborted);
-  d.Bool(f.remounted_ro);
-  d.U64(f.degraded_reads);
-  d.U64(f.readonly_rejects);
-  d.U64(f.failed_ops);
-}
-
-void DigestArraySummary(Digest& d, const ArraySummary& a) {
-  d.U64(a.devices);
-  d.U64(a.reads);
-  d.U64(a.writes);
-  d.U64(a.degraded_reads);
-  d.U64(a.mirror_rescues);
-  d.U64(a.lost_stripes);
-  d.U64(a.replica_write_errors);
-  d.U64(a.device_failures);
-  d.U64(a.scrub_regions_scanned);
-  d.U64(a.scrub_detections);
-  d.U64(a.scrub_preempted);
-  d.U64(a.scrub_repairs);
-  d.U64(a.scrub_unrepairable);
-  d.U64(a.rebuilds_started);
-  d.U64(a.rebuilds_completed);
-  d.U64(a.rebuild_regions_copied);
-  d.Bool(a.data_loss);
-}
-
-void DigestCrashReport(Digest& d, const CrashReport& r) {
-  d.I64(r.crash_time);
-  d.U64(r.ops_issued);
-  d.U64(r.recovery_watermark);
-  d.Bool(r.used_journal);
-  d.U64(r.durable_txns);
-  d.U64(r.replayed_txns);
-  d.U64(r.torn_txns);
-  d.U64(r.replay_log_blocks);
-  d.U64(r.replay_home_blocks);
-  d.U64(r.fsck_blocks);
-  d.I64(r.recovery_latency);
-  d.U64(r.dirty_pages_lost);
-  d.U64(r.volatile_blocks);
-  d.Bool(r.recovered_consistent);
-}
-
-uint64_t DigestRunResult(const RunResult& r) {
-  Digest d;
-  d.Bool(r.ok);
-  d.U64(static_cast<uint64_t>(r.error));
-  d.U64(r.ops);
-  d.I64(r.measured_duration);
-  d.F64(r.ops_per_second);
-  DigestRunningStats(d, r.latency);
-  DigestHistogram(d, r.histogram);
-  d.U64(r.throughput_series.size());
-  for (double v : r.throughput_series) {
-    d.F64(v);
-  }
-  d.I64(r.timeline_interval);
-  d.U64(r.histogram_slices.size());
-  for (const LatencyHistogram& h : r.histogram_slices) {
-    DigestHistogram(d, h);
-  }
-  d.I64(r.histogram_slice);
-  d.F64(r.cache_hit_ratio);
-  DigestVfsStats(d, r.vfs_stats);
-  DigestDiskStats(d, r.disk_stats);
-  DigestSchedulerStats(d, r.scheduler_stats);
-  d.U64(r.per_thread_ops.size());
-  for (uint64_t ops : r.per_thread_ops) {
-    d.U64(ops);
-  }
-  d.U64(r.failed_ops);
-  DigestFaultSummary(d, r.fault);
-  DigestArraySummary(d, r.array);
-  d.Bool(r.crash_report.has_value());
-  if (r.crash_report.has_value()) {
-    DigestCrashReport(d, *r.crash_report);
-  }
-  return d.value();
-}
 
 // The canonical gate configuration: 4 simulated threads of fsync-heavy
 // postmark on ext3 under a small cache, crashing mid-run with the replay
@@ -236,7 +45,7 @@ ThreadedWorkloadFactory GateWorkload() {
 
 ExperimentConfig GateConfig() {
   ExperimentConfig config;
-  config.runs = 2;  // two seeds per experiment: jitter draws are in the digest's blast radius
+  config.runs = 2;  // two seeds per experiment: jitter draws are in the comparison's blast radius
   config.duration = 60 * kSecond;
   config.threads = 4;
   config.base_seed = 11;
@@ -255,8 +64,8 @@ TEST_P(DeterminismGate, RunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "run " << i << " digest diverged — the (config, seed) contract is broken";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "run " << i << " diverged — the (config, seed) contract is broken";
   }
   // The gate must be exercising what it claims to: a crash that recovered
   // consistently on every run, with real multi-thread interleaving.
@@ -265,9 +74,10 @@ TEST_P(DeterminismGate, RunTwiceBitIdenticalDigest) {
     EXPECT_TRUE(run.crash_report->recovered_consistent);
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
-  // Different seeds must NOT collide (a constant digest would also "pass").
+  // Different seeds must NOT compare equal (a comparison blind to the seed
+  // would also "pass").
   ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  EXPECT_FALSE(first.runs[0] == first.runs[1]);
 }
 
 // The same purity contract under the device-fault engine: retries, backoff,
@@ -296,8 +106,8 @@ TEST_P(DeterminismGate, FaultyRunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "faulty run " << i << " digest diverged — fault draws are not seed-pure";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "faulty run " << i << " diverged — fault draws are not seed-pure";
   }
   // The gate must actually be exercising the fault machinery.
   for (const RunResult& run : first.runs) {
@@ -305,7 +115,7 @@ TEST_P(DeterminismGate, FaultyRunTwiceBitIdenticalDigest) {
     EXPECT_GT(run.fault.retries, 0u);
   }
   ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  EXPECT_FALSE(first.runs[0] == first.runs[1]);
 }
 
 // Crash × fault interaction (the two scenario axes together): a run that
@@ -335,8 +145,8 @@ TEST_P(DeterminismGate, CrashWithFaultsRunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "crash+fault run " << i << " digest diverged";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "crash+fault run " << i << " diverged";
   }
   // Both axes must really have fired: remaps before the crash, and a crash
   // whose replayed prefix still fscks clean.
@@ -351,8 +161,8 @@ TEST_P(DeterminismGate, CrashWithFaultsRunTwiceBitIdenticalDigest) {
 
 // The redundancy layer under the same contract: a 4-thread run on a
 // degraded mirror — one device killed mid-run, hot-spare rebuild racing
-// foreground traffic, background scrub walking the survivors — must digest
-// bit-identically twice. Replica selection ties, scrub cadence and rebuild
+// foreground traffic, background scrub walking the survivors — must compare
+// equal twice. Replica selection ties, scrub cadence and rebuild
 // progress are all deterministic decisions this test pins.
 TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();
@@ -381,8 +191,8 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "degraded-array run " << i << " digest diverged — the array is not seed-pure";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "degraded-array run " << i << " diverged — the array is not seed-pure";
   }
   // The gate must actually be exercising the degraded machinery: a noticed
   // device death, a rebuild, and scrub coverage.
@@ -394,14 +204,14 @@ TEST_P(DeterminismGate, DegradedArrayRunTwiceBitIdenticalDigest) {
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
   ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  EXPECT_FALSE(first.runs[0] == first.runs[1]);
 }
 
 // The multi-queue SSD under the canonical gate scenario: 4 threads of
 // fsync-heavy postmark, crash at op 600, replay check on — against the
 // flash device (per-channel FIFO scheduling, FTL page mapping, recovery
 // replay on an SSD recovery device). The FTL has no RNG of its own, so
-// the digest pins it to being a pure function of the request sequence.
+// the comparison pins it to being a pure function of the request sequence.
 TEST_P(DeterminismGate, SsdRunTwiceBitIdenticalDigest) {
   const ExperimentConfig config = GateConfig();
   const FsKind kind = GetParam();
@@ -419,8 +229,8 @@ TEST_P(DeterminismGate, SsdRunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "SSD run " << i << " digest diverged — the FTL is not request-pure";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "SSD run " << i << " diverged — the FTL is not request-pure";
   }
   for (const RunResult& run : first.runs) {
     ASSERT_TRUE(run.crash_report.has_value());
@@ -428,13 +238,13 @@ TEST_P(DeterminismGate, SsdRunTwiceBitIdenticalDigest) {
     EXPECT_EQ(run.per_thread_ops.size(), 4u);
   }
   ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  EXPECT_FALSE(first.runs[0] == first.runs[1]);
 }
 
 // A mixed mirror — flash primary, spinning secondary — under faults, a
 // mid-run device kill, hot-spare rebuild and background scrub. Replica
 // selection now picks between devices with wildly different service
-// times; the digest pins that choice (and the rebuild/scrub interleaving
+// times; the comparison pins that choice (and the rebuild/scrub interleaving
 // against the multi-queue device) to (config, seed).
 TEST_P(DeterminismGate, SsdMirrorRunTwiceBitIdenticalDigest) {
   ExperimentConfig config = GateConfig();
@@ -464,8 +274,8 @@ TEST_P(DeterminismGate, SsdMirrorRunTwiceBitIdenticalDigest) {
 
   ASSERT_EQ(first.runs.size(), second.runs.size());
   for (size_t i = 0; i < first.runs.size(); ++i) {
-    EXPECT_EQ(DigestRunResult(first.runs[i]), DigestRunResult(second.runs[i]))
-        << "SSD-mirror run " << i << " digest diverged";
+    EXPECT_TRUE(first.runs[i] == second.runs[i])
+        << "SSD-mirror run " << i << " diverged";
   }
   for (const RunResult& run : first.runs) {
     EXPECT_EQ(run.array.devices, 3u);
@@ -474,7 +284,7 @@ TEST_P(DeterminismGate, SsdMirrorRunTwiceBitIdenticalDigest) {
     EXPECT_GT(run.array.scrub_regions_scanned, 0u);
   }
   ASSERT_GE(first.runs.size(), 2u);
-  EXPECT_NE(DigestRunResult(first.runs[0]), DigestRunResult(first.runs[1]));
+  EXPECT_FALSE(first.runs[0] == first.runs[1]);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFs, DeterminismGate,

@@ -56,7 +56,7 @@ TEST(FaultPlanTest, TransientDrawsAreSeedDeterministic) {
     EXPECT_EQ(da.kind, db.kind) << "draw " << i;
     divergences += da.kind != dc.kind ? 1 : 0;
   }
-  EXPECT_EQ(a.stats().transient_faults, b.stats().transient_faults);
+  EXPECT_EQ(a.stats(), b.stats());
   EXPECT_GT(a.stats().transient_faults, 0u);
   // A different seed is a different fault history.
   EXPECT_GT(divergences, 0u);

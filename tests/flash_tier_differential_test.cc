@@ -100,10 +100,7 @@ constexpr uint64_t kPagesPerFile = 48;
 
 void ExpectAgreement(const FlashTier& tier, const ReferenceFlashTier& ref, uint64_t op) {
   ASSERT_EQ(tier.size(), ref.size()) << "op " << op;
-  ASSERT_EQ(tier.stats().hits, ref.stats().hits) << "op " << op;
-  ASSERT_EQ(tier.stats().misses, ref.stats().misses) << "op " << op;
-  ASSERT_EQ(tier.stats().insertions, ref.stats().insertions) << "op " << op;
-  ASSERT_EQ(tier.stats().evictions, ref.stats().evictions) << "op " << op;
+  ASSERT_EQ(tier.stats(), ref.stats()) << "op " << op;
   for (uint64_t ino = 1; ino <= kFiles; ++ino) {
     for (uint64_t page = 0; page < kPagesPerFile; ++page) {
       const PageKey key{ino, page};

@@ -48,10 +48,7 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
   drive(fresh);
   drive(rehashed);
 
-  EXPECT_EQ(fresh.stats().hits, rehashed.stats().hits);
-  EXPECT_EQ(fresh.stats().misses, rehashed.stats().misses);
-  EXPECT_EQ(fresh.stats().insertions, rehashed.stats().insertions);
-  EXPECT_EQ(fresh.stats().evictions, rehashed.stats().evictions);
+  EXPECT_EQ(fresh.stats(), rehashed.stats());
   EXPECT_EQ(fresh.size(), rehashed.size());
   for (uint64_t ino = 1; ino <= 4; ++ino) {
     for (uint64_t i = 0; i < 24; ++i) {

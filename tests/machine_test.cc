@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/util/rng.h"
+
 namespace fsbench {
 namespace {
 
@@ -105,6 +107,66 @@ TEST(MachineTest, CpuJitterScalesCosts) {
   Machine jittered(FsKind::kExt2, config);
   EXPECT_NE(jittered.vfs().config().cpu_cost_multiplier, 1.0);
   EXPECT_NEAR(jittered.vfs().config().cpu_cost_multiplier, 1.0, 0.05);
+}
+
+// Machine::AggregateDiskStats and AggregateSchedulerStats sum the device
+// counters field by field. On a one-device machine each aggregate must equal
+// that device's own stats, so a field the sum leaves out differs here. The
+// run is sized so that no counter stays zero on both kinds: random 64 KiB
+// rewrites of a 64 MiB file on a 256 MiB device make the SSD garbage-collect
+// partly valid blocks, sync reads of a second file queue behind writeback,
+// and transient and persistent faults under a two-attempt remapping policy
+// produce retries, remaps and failed requests. Faults start once both files
+// are open; ext2 keeps going after a failed request, so the loop ignores op
+// results.
+void CheckAggregatesMatchTheOnlyDevice(DeviceKind device) {
+  MachineConfig config = PaperTestbedConfig();
+  config.device = device;
+  config.disk.capacity = 256 * kMiB;
+  config.seed = 5;
+  config.retry = RetryPolicy{2, FromMillis(0.2), 2.0, /*remap=*/true};
+  Machine machine(FsKind::kExt2, config);
+  ASSERT_EQ(machine.device_count(), 1u);
+
+  Vfs& vfs = machine.vfs();
+  ASSERT_EQ(vfs.MakeFile("/w", 64 * kMiB), FsStatus::kOk);
+  ASSERT_EQ(vfs.MakeFile("/r", 64 * kMiB), FsStatus::kOk);
+  const FsResult<int> write_fd = vfs.Open("/w");
+  const FsResult<int> read_fd = vfs.Open("/r");
+  ASSERT_TRUE(write_fd.ok());
+  ASSERT_TRUE(read_fd.ok());
+  FaultPlanConfig faults;
+  faults.transient_rate = 0.1;
+  faults.persistent_rate = 0.05;
+  machine.disk().EnableFaults(faults, /*seed=*/5);
+
+  Rng rng(5);
+  for (int i = 0; i < 6 * 1024; ++i) {
+    (void)vfs.Write(write_fd.value, static_cast<Bytes>(rng.NextBelow(1024)) * 64 * kKiB,
+                    64 * kKiB);
+    if (i % 16 == 0) {
+      (void)vfs.Read(read_fd.value, static_cast<Bytes>(rng.NextBelow(16384)) * 4 * kKiB, 4 * kKiB);
+    }
+    if (i % 256 == 255) {
+      (void)vfs.Fsync(write_fd.value);
+    }
+  }
+
+  const DiskStats& disk = machine.disk().stats();
+  const IoSchedulerStats& scheduler = machine.scheduler().stats();
+  EXPECT_GT(disk.reads, 0u);
+  EXPECT_GT(disk.writes, 0u);
+  EXPECT_GT(scheduler.async_requests, 0u);
+  EXPECT_EQ(machine.AggregateDiskStats(), disk);
+  EXPECT_EQ(machine.AggregateSchedulerStats(), scheduler);
+}
+
+TEST(MachineTest, HddAggregatesEqualTheDeviceCounters) {
+  CheckAggregatesMatchTheOnlyDevice(DeviceKind::kHdd);
+}
+
+TEST(MachineTest, SsdAggregatesEqualTheDeviceCounters) {
+  CheckAggregatesMatchTheOnlyDevice(DeviceKind::kSsd);
 }
 
 }  // namespace
