@@ -8,11 +8,14 @@
 // of simulated work per operation.
 #include <benchmark/benchmark.h>
 
+#include <string>
+
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/stats.h"
 #include "src/core/timeline.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/machine.h"
 #include "src/sim/page_cache.h"
 #include "src/util/rng.h"
 
@@ -150,6 +153,27 @@ void BM_PageCacheTakeDirty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageCacheTakeDirty);
+
+void BM_Ext2NegativeLookup(benchmark::State& state) {
+  // Stat of a missing name: ext2's full linear scan of a warm directory of
+  // range(0) names (64 dirents per page: 64 -> 1 page, 2000 -> 32 pages).
+  Machine machine(FsKind::kExt2, PaperTestbedConfig());
+  Vfs& vfs = machine.vfs();
+  if (vfs.Mkdir("/d") != FsStatus::kOk) {
+    state.SkipWithError("mkdir failed");
+    return;
+  }
+  for (int64_t i = 0; i < state.range(0); ++i) {
+    if (vfs.CreateFile("/d/f" + std::to_string(i)) != FsStatus::kOk) {
+      state.SkipWithError("create failed");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vfs.Stat("/d/missing").status);
+  }
+}
+BENCHMARK(BM_Ext2NegativeLookup)->Arg(64)->Arg(2000);
 
 void BM_DiskModelRandomAccess(benchmark::State& state) {
   DiskParams params;

@@ -45,22 +45,7 @@ void Ext2Fs::IndirectSlotsFor(uint64_t page, std::vector<uint64_t>* slots) const
   slots->insert(slots->end(), chain, chain + depth);
 }
 
-void Ext2Fs::ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::string_view name,
-                             std::optional<uint64_t> slot, MetaIo* io) {
-  (void)name;
-  // Same shared cost model as the base implementation, but the mapper is
-  // the final Ext2Fs::MapPageFor, so it resolves statically and inlines
-  // into the scan — this runs once per path component.
-  ChargeLinearDirScan(dir_inode, dir, slot, io,
-                      [this](const Inode& inode, uint64_t page, MetaIo* out) {
-                        return Ext2Fs::MapPageFor(inode, page, out);
-                      });
-}
-
-FsResult<BlockId> Ext2Fs::MapPageFor(const Inode& inode, uint64_t page_index, MetaIo* io) {
-  if (page_index >= inode.block_map.size() || inode.block_map[page_index] == kInvalidBlock) {
-    return FsResult<BlockId>::Ok(kInvalidBlock);  // hole
-  }
+void Ext2Fs::AddMappingReads(const Inode& inode, uint64_t page_index, MetaIo* io) const {
   io->AddMetaRead(inode.itable_block);
   uint64_t slots[kMaxIndirectDepth];
   const uint32_t depth = IndirectSlotsInto(page_index, slots);
@@ -68,6 +53,53 @@ FsResult<BlockId> Ext2Fs::MapPageFor(const Inode& inode, uint64_t page_index, Me
     assert(slots[i] < inode.indirect_blocks.size());
     io->AddMetaRead(inode.indirect_blocks[slots[i]]);
   }
+}
+
+void Ext2Fs::ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::string_view name,
+                             std::optional<uint64_t> slot, MetaIo* io) {
+  (void)name;
+  const uint64_t epb = params_.dir_entries_per_block;
+  const uint64_t total_pages = CeilDiv(dir.slot_count(), epb);
+  const uint64_t scanned =
+      slot.has_value() ? std::min<uint64_t>(*slot / epb + 1, total_pages) : total_pages;
+  // Pages past the block map are holes, for which MapPageFor charges nothing.
+  const uint64_t last = std::min<uint64_t>(scanned, dir_inode.block_map.size());
+  const uint64_t direct = direct_pages();
+  const uint64_t ptrs = pointers_per_block();
+  uint64_t page = 0;
+  while (page < last) {
+    // The chain is empty for the direct pages; past them its last indirect
+    // block changes every `ptrs` pages (the single-indirect block, then each
+    // double- and triple-indirect leaf).
+    const uint64_t stretch_end = std::min<uint64_t>(
+        last, page < direct ? direct : direct + ((page - direct) / ptrs + 1) * ptrs);
+    while (page < stretch_end && dir_inode.block_map[page] == kInvalidBlock) {
+      ++page;
+    }
+    if (page == stretch_end) {
+      continue;
+    }
+    const uint32_t begin = io->reads.size();
+    AddMappingReads(dir_inode, page, io);
+    const uint32_t chain_end = io->reads.size();
+    for (; page < stretch_end; ++page) {
+      const BlockId block = dir_inode.block_map[page];
+      if (block != kInvalidBlock) {
+        io->reads.push_back({dir_inode.ino, page, block});
+      }
+    }
+    // One page is already in charge order: its chain, then the page.
+    if (io->reads.size() - chain_end > 1) {
+      io->runs.push_back({begin, chain_end - begin, io->reads.size()});
+    }
+  }
+}
+
+FsResult<BlockId> Ext2Fs::MapPageFor(const Inode& inode, uint64_t page_index, MetaIo* io) {
+  if (page_index >= inode.block_map.size() || inode.block_map[page_index] == kInvalidBlock) {
+    return FsResult<BlockId>::Ok(kInvalidBlock);  // hole
+  }
+  AddMappingReads(inode, page_index, io);
   return FsResult<BlockId>::Ok(inode.block_map[page_index]);
 }
 

@@ -42,18 +42,21 @@ class Ext2Fs : public FileSystem {
   uint32_t IndirectSlotsInto(uint64_t page, uint64_t* slots) const;
 
  protected:
-  // `final` so the directory-scan override below (and anything else in this
-  // translation-unit family) can call it without virtual dispatch.
-  FsResult<BlockId> MapPageFor(const Inode& inode, uint64_t page_index, MetaIo* io) final;
+  FsResult<BlockId> MapPageFor(const Inode& inode, uint64_t page_index, MetaIo* io) override;
   FsResult<BlockId> AllocatePageFor(Inode& inode, uint64_t page_index, MetaIo* io) override;
-  // Same linear-scan cost model as the base implementation, but with the
-  // per-block MapPageFor call devirtualized — this runs once per path
-  // component, the hottest loop in the simulator.
+  // Linear scan: a positive lookup reads the directory pages up to and
+  // including the entry's page, a negative one reads all of them, each page
+  // after what MapPageFor charges for it. Pages that share an indirect chain
+  // are emitted as one MetaRun.
   void ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::string_view name,
                        std::optional<uint64_t> slot, MetaIo* io) override;
   void FreeAllBlocks(Inode& inode, MetaIo* io) override;
   void FreePagesFrom(Inode& inode, uint64_t first_page, MetaIo* io) override;
   void AppendOwnedBlocks(const Inode& inode, std::vector<BlockId>* blocks) const override;
+
+  // Appends the reads that map `page_index`: the inode-table block, then
+  // the page's indirect chain.
+  void AddMappingReads(const Inode& inode, uint64_t page_index, MetaIo* io) const;
 
   // Allocation goal for the next data block of `inode` at `page`.
   BlockId DataGoal(const Inode& inode, uint64_t page) const;

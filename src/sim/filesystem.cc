@@ -168,17 +168,6 @@ Inode* FileSystem::AllocateInode(const Inode& parent, FileType type, MetaIo* io)
   return inodes_.Insert(std::move(inode));
 }
 
-void FileSystem::ChargeDirLookup(const Inode& dir_inode, const Directory& dir,
-                                 std::string_view name, std::optional<uint64_t> slot,
-                                 MetaIo* io) {
-  (void)name;
-  // Linear scan (ext2/ext3 flavour), dispatching MapPageFor virtually.
-  ChargeLinearDirScan(dir_inode, dir, slot, io,
-                      [this](const Inode& inode, uint64_t page, MetaIo* out) {
-                        return MapPageFor(inode, page, out);
-                      });
-}
-
 FsResult<BlockId> FileSystem::EnsureDirSlotBlock(Inode& dir_inode, uint64_t slot, MetaIo* io) {
   const uint64_t page = slot / params_.dir_entries_per_block;
   const FsResult<BlockId> existing = MapPageFor(dir_inode, page, io);

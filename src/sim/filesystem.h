@@ -10,7 +10,6 @@
 #ifndef SRC_SIM_FILESYSTEM_H_
 #define SRC_SIM_FILESYSTEM_H_
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -30,6 +29,21 @@
 
 namespace fsbench {
 
+// A compact stretch of MetaIo::reads: pages that share one mapping chain
+// (inode-table block, then indirect blocks), as an ext2 directory scan reads
+// them. reads[begin, begin + chain) holds the chain once and
+// reads[begin + chain, end) one ref per page; the run stands for every page
+// read after the whole chain again.
+struct MetaRun {
+  uint32_t begin = 0;
+  uint32_t chain = 0;
+  uint32_t end = 0;
+
+  uint32_t pages() const { return end - begin - chain; }
+  // Reads the run charges once expanded: (chain + 1) per page.
+  uint64_t expanded_reads() const { return static_cast<uint64_t>(chain + 1) * pages(); }
+};
+
 // The I/O plan for one file-system operation. (MetaRef, the element type,
 // lives in types.h so the transaction log can name it too.)
 //
@@ -42,6 +56,7 @@ namespace fsbench {
 // (inode table + triple-indirect chain), Create at most ~7 writes.
 struct MetaIo {
   SmallVec<MetaRef, 12> reads;         // must be resident or read from disk
+  SmallVec<MetaRun, 2> runs;           // compact stretches of `reads`, ascending
   SmallVec<MetaRef, 8> writes;         // dirtied (journaled on ext3)
   SmallVec<MetaRef, 4> invalidations;  // cache entries to drop (unlink, truncate)
   SmallVec<InodeId, 2> drop_files;     // whole files whose pages must be dropped
@@ -49,9 +64,49 @@ struct MetaIo {
   void AddMetaRead(BlockId block) { reads.push_back({kMetaInode, block, block}); }
   void AddMetaWrite(BlockId block) { writes.push_back({kMetaInode, block, block}); }
 
-  // Empties all four lists while keeping their spilled storage for reuse.
+  // Visits the reads in charge order, each run expanded to chain, page,
+  // chain, page, ... `fn(ref)` returns false to stop the walk, which then
+  // returns false. `claim(run)` is offered each run first and returns true
+  // when it has charged the run whole, which skips the expansion.
+  template <typename Fn, typename Claim>
+  bool ForEachRead(Fn&& fn, Claim&& claim) const {
+    uint32_t i = 0;
+    for (uint32_t r = 0;; ++r) {
+      // The reads before the next run, one by one.
+      const uint32_t flat_end = r < runs.size() ? runs[r].begin : reads.size();
+      for (; i < flat_end; ++i) {
+        if (!fn(reads[i])) {
+          return false;
+        }
+      }
+      if (r == runs.size()) {
+        return true;
+      }
+      const MetaRun& run = runs[r];
+      i = run.end;
+      if (claim(run)) {
+        continue;
+      }
+      // Each page after the whole chain: reads[begin, chain_end), then page.
+      const uint32_t chain_end = run.begin + run.chain;
+      for (uint32_t page = chain_end; page < run.end; ++page) {
+        for (uint32_t c = run.begin; c <= chain_end; ++c) {
+          if (!fn(reads[c < chain_end ? c : page])) {
+            return false;
+          }
+        }
+      }
+    }
+  }
+  template <typename Fn>
+  bool ForEachRead(Fn&& fn) const {
+    return ForEachRead(fn, [](const MetaRun&) { return false; });
+  }
+
+  // Empties all five lists while keeping their spilled storage for reuse.
   void Reset() {
     reads.clear();
+    runs.clear();
     writes.clear();
     invalidations.clear();
     drop_files.clear();
@@ -190,28 +245,7 @@ class FileSystem {
   // positive lookup, std::nullopt for a negative one.
   virtual void ChargeDirLookup(const Inode& dir_inode, const Directory& dir,
                                std::string_view name, std::optional<uint64_t> slot,
-                               MetaIo* io);
-
-  // The linear-scan cost model shared by the base ChargeDirLookup and
-  // concrete overrides: a positive lookup reads directory blocks up to and
-  // including the entry's block, a negative one reads all of them. `map` is
-  // the page mapper — overrides pass their own MapPageFor so the per-block
-  // call resolves statically instead of through the vtable.
-  template <typename MapFn>
-  void ChargeLinearDirScan(const Inode& dir_inode, const Directory& dir,
-                           std::optional<uint64_t> slot, MetaIo* io, MapFn&& map) {
-    const uint64_t epb = params_.dir_entries_per_block;
-    const uint64_t total_blocks = dir.slot_count() == 0 ? 0 : CeilDiv(dir.slot_count(), epb);
-    const uint64_t last_block = !slot.has_value()
-                                    ? total_blocks
-                                    : std::min<uint64_t>(*slot / epb + 1, total_blocks);
-    for (uint64_t page = 0; page < last_block; ++page) {
-      const FsResult<BlockId> mapping = map(dir_inode, page, io);
-      if (mapping.ok() && mapping.value != kInvalidBlock) {
-        io->reads.push_back({dir_inode.ino, page, mapping.value});
-      }
-    }
-  }
+                               MetaIo* io) = 0;
 
   // Placement group for a new inode.
   virtual uint64_t PickGroup(const Inode& parent, FileType type);

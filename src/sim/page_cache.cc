@@ -453,6 +453,32 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   ++stats_.insertions;
 }
 
+bool PageCache::LookupRun(std::span<const PageKey> keys, uint32_t chain) {
+  assert(chain < keys.size());
+  // A hit never evicts, so every lookup of the sequence hits. Afterwards a
+  // key's recency state depends only on its last hit (LRU, 2Q's Am and ARC
+  // move it to the front of its list; CLOCK's bit and 2Q's A1in ignore
+  // order), so touching the keys once each in last-hit order is exact: every
+  // page but the last, then the chain, then the last page. That is keys[0,
+  // last) rotated left by `chain`, then keys[last]. A repeated key ends up
+  // where its later touch puts it, as its later hit would.
+  const uint32_t last = static_cast<uint32_t>(keys.size()) - 1;
+  run_nodes_.clear();
+  for (uint32_t k = 0; k <= last; ++k) {
+    const uint32_t i = k == last ? last : (k + chain < last ? k + chain : k + chain - last);
+    const uint32_t n = FindNode(keys[i]);
+    if (n == kNil || !IsResidentNode(n)) {
+      return false;
+    }
+    run_nodes_.push_back(n);
+  }
+  for (const uint32_t n : run_nodes_) {
+    PolicyResidentAccess(n);
+  }
+  stats_.hits += static_cast<uint64_t>(chain + 1) * (keys.size() - chain);
+  return true;
+}
+
 size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
   out->clear();
   // Chain order (most recently inserted first); callers that care about

@@ -40,6 +40,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
@@ -97,6 +98,14 @@ class PageCache {
   // Hit path: returns true and updates the policy's recency state on a hit;
   // records a miss otherwise.
   bool Lookup(const PageKey& key);
+
+  // Lookup of a run in one call: keys[0, chain) are a chain looked up again
+  // before each of the page keys that follow, so the run stands for the
+  // sequence chain, page 0, chain, page 1, ... Each key is probed once. If
+  // every key is resident, applies the hits of that sequence and returns
+  // true. Otherwise returns false and changes nothing, misses included: the
+  // caller then makes the lookups one by one.
+  bool LookupRun(std::span<const PageKey> keys, uint32_t chain);
 
   // Makes `key` resident (or refreshes it if already resident). Evicts as
   // needed, reporting victims into `evicted` (cleared on entry; may be null
@@ -277,6 +286,8 @@ class PageCache {
   size_t live_count_ = 0;  // resident + ghost
   size_t dirty_count_ = 0;
   PageCacheStats stats_;
+
+  std::vector<uint32_t> run_nodes_;  // LookupRun's probed nodes, reused
 };
 
 // --- inline hot path --------------------------------------------------------

@@ -108,16 +108,35 @@ void Vfs::InsertPage(const PageKey& key, BlockId block, bool dirty) {
 }
 
 FsStatus Vfs::ProcessMetaIo(const MetaIo& io) {
-  for (const MetaRef& ref : io.reads) {
+  FsStatus status = FsStatus::kOk;
+  const auto read_ref = [&](const MetaRef& ref) {
     clock_->Advance(scaled_meta_touch_);
     const PageKey key{ref.ino, ref.index};
     if (!cache_.Lookup(key)) {
-      const FsStatus status = DemandRead(ref.block, 1, /*meta=*/true);
+      status = DemandRead(ref.block, 1, /*meta=*/true);
       if (status != FsStatus::kOk) {
-        return status;
+        return false;
       }
       InsertPage(key, ref.block, /*dirty=*/false);
     }
+    return true;
+  };
+  // A resident run is charged whole: one probe per distinct page, one clock
+  // advance for all its touches. A run with any page missing is read ref by
+  // ref, so misses, demand reads and evictions happen exactly in charge order.
+  const auto read_resident_run = [&](const MetaRun& run) {
+    run_keys_.clear();
+    for (uint32_t i = run.begin; i < run.end; ++i) {
+      run_keys_.push_back(PageKey{io.reads[i].ino, io.reads[i].index});
+    }
+    if (!cache_.LookupRun(run_keys_, run.chain)) {
+      return false;
+    }
+    clock_->Advance(scaled_meta_touch_ * static_cast<Nanos>(run.expanded_reads()));
+    return true;
+  };
+  if (!io.ForEachRead(read_ref, read_resident_run)) {
+    return status;
   }
   if (!io.writes.empty()) {
     Journal* journal = fs_->journal();

@@ -6,7 +6,9 @@
 //   - every Lookup/Contains/MarkDirty result,
 //   - resident size and dirty count after every operation,
 //   - ARC's adaptive T1 target p (bit-identical: same arithmetic, same
-//     order), proving ghost-hit adaptation carried over.
+//     order), proving ghost-hit adaptation carried over,
+//   - every LookupRun's outcome and hit count against the one-by-one
+//     lookups it stands for.
 // The slab rewrite changes mechanics only; decisions are provably unchanged.
 #include <gtest/gtest.h>
 
@@ -167,6 +169,131 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
       oracle.RemoveFile(ino);
     }
     ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
+  }
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
+// LookupRun against the lookups it stands for. The usual insert, lookup,
+// remove and RemoveFile mix is interleaved with runs of 1-3 chain keys and
+// 1-40 page keys, drawn with repeats from the resident set; two runs in five
+// also draw recent victims (ghosts under 2Q and ARC) and random keys. When
+// every key is resident the oracle makes the expanded lookups (chain, page,
+// chain, page, ...) and the run must succeed; otherwise the run must fail and
+// change nothing. The victim sequences of later inserts, and a final drain,
+// catch any difference in recency.
+TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
+  const TraceParam param = GetParam();
+  PageCache cache(param.capacity, param.kind);
+  reference::ReferencePageCache oracle(param.capacity, param.kind);
+
+  // Key space twice the capacity, so runs find most of it resident.
+  const uint64_t inodes = 4;
+  const uint64_t pages_per_inode = std::max<uint64_t>(1, param.capacity * 2 / inodes);
+  Rng rng(param.seed * 2862933555777941757ULL + 3037000493ULL);
+  auto random_key = [&] {
+    return PageKey{1 + rng.NextBelow(inodes), rng.NextBelow(pages_per_inode)};
+  };
+
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  std::vector<PageKey> victims;
+  auto insert = [&](const PageKey& key, bool dirty) {
+    const PageCache::EvictedBatch evicted = cache.Insert(key, BlockFor(key), dirty);
+    const auto expected = oracle.Insert(key, BlockFor(key), dirty);
+    ASSERT_EQ(evicted.size(), expected.size());
+    for (uint32_t i = 0; i < evicted.size(); ++i) {
+      ASSERT_TRUE(EvictedEqual(evicted[i], expected[i]))
+          << "victim " << i << ": slab {" << evicted[i].key.ino << "," << evicted[i].key.index
+          << "} vs oracle {" << expected[i].key.ino << "," << expected[i].key.index << "}";
+      victims.push_back(evicted[i].key);
+    }
+  };
+
+  int resident_runs = 0;
+  int missed_runs = 0;
+  std::vector<PageKey> resident;
+  std::vector<PageKey> run;
+  for (int step = 0; step < 6000; ++step) {
+    const double action = rng.NextDouble();
+    if (action < 0.45) {
+      const PageKey key = random_key();
+      const bool hit = cache.Lookup(key);
+      ASSERT_EQ(hit, oracle.Lookup(key)) << "step " << step;
+      ++(hit ? hits : misses);
+      if (!hit) {
+        ASSERT_NO_FATAL_FAILURE(insert(key, rng.NextDouble() < 0.3)) << "step " << step;
+      }
+    } else if (action < 0.50) {
+      const PageKey key = random_key();
+      cache.Remove(key);
+      oracle.Remove(key);
+    } else if (action < 0.52) {
+      const InodeId ino = 1 + rng.NextBelow(inodes);
+      cache.RemoveFile(ino);
+      oracle.RemoveFile(ino);
+    } else {
+      resident.clear();
+      for (InodeId ino = 1; ino <= inodes; ++ino) {
+        for (uint64_t index = 0; index < pages_per_inode; ++index) {
+          if (oracle.Contains(PageKey{ino, index})) {
+            resident.push_back(PageKey{ino, index});
+          }
+        }
+      }
+      if (resident.empty()) {
+        continue;
+      }
+      const uint32_t chain = 1 + static_cast<uint32_t>(rng.NextBelow(3));
+      const uint32_t count = chain + 1 + static_cast<uint32_t>(rng.NextBelow(40));
+      const bool mixed = rng.NextBelow(5) < 2;
+      run.clear();
+      for (uint32_t i = 0; i < count; ++i) {
+        if (mixed && rng.NextBelow(8) == 0) {
+          const bool ghost = !victims.empty() && rng.NextBelow(2) == 0;
+          run.push_back(ghost ? victims[victims.size() - 1 -
+                                       rng.NextBelow(std::min<size_t>(victims.size(), 32))]
+                              : random_key());
+        } else {
+          run.push_back(resident[rng.NextBelow(resident.size())]);
+        }
+      }
+      const bool all_resident = std::all_of(run.begin(), run.end(), [&](const PageKey& key) {
+        return oracle.Contains(key);
+      });
+      const PageCacheStats before = cache.stats();
+      const bool charged = cache.LookupRun(run, chain);
+      ASSERT_EQ(charged, all_resident) << "step " << step;
+      if (charged) {
+        for (uint32_t page = chain; page < count; ++page) {
+          for (uint32_t c = 0; c < chain; ++c) {
+            ASSERT_TRUE(oracle.Lookup(run[c])) << "step " << step;
+          }
+          ASSERT_TRUE(oracle.Lookup(run[page])) << "step " << step;
+        }
+        hits += static_cast<uint64_t>(chain + 1) * (count - chain);
+        ++resident_runs;
+      } else {
+        ASSERT_EQ(cache.stats(), before) << "step " << step;
+        ++missed_runs;
+      }
+    }
+
+    ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(cache.dirty_count(), oracle.dirty_count()) << "step " << step;
+    if (param.kind == EvictionPolicyKind::kArc) {
+      ASSERT_EQ(cache.arc_target_t1(), oracle.policy()->target_t1()) << "step " << step;
+    }
+    if (step % 997 == 0) {
+      ASSERT_TRUE(cache.CheckInvariants()) << "step " << step;
+    }
+  }
+  EXPECT_GT(resident_runs, 0);
+  EXPECT_GT(missed_runs, 0);
+  EXPECT_EQ(cache.stats().hits, hits);
+  EXPECT_EQ(cache.stats().misses, misses);
+  // Drain: fresh keys evict the whole resident set in the final recency order.
+  for (uint64_t index = 0; index < 2 * param.capacity; ++index) {
+    ASSERT_NO_FATAL_FAILURE(insert(PageKey{inodes + 1, index}, false)) << "drain " << index;
   }
   EXPECT_TRUE(cache.CheckInvariants());
 }

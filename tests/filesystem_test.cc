@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/sim/disk_model.h"
 #include "src/sim/ext2fs.h"
@@ -276,6 +278,90 @@ TEST(Ext2FsTest, LargeFileChargesIndirectMetaReads) {
   ASSERT_TRUE(fs.MapPage(file.value, 2000, &map_io).ok());
   // itable + double-indirect root + leaf.
   EXPECT_GE(map_io.reads.size(), 3u);
+}
+
+// The reads of `io` in charge order, every MetaRun expanded.
+std::vector<MetaRef> ExpandedReads(const MetaIo& io) {
+  std::vector<MetaRef> reads;
+  io.ForEachRead([&](const MetaRef& ref) {
+    reads.push_back(ref);
+    return true;
+  });
+  return reads;
+}
+
+// The directory scan's runs, expanded, against MapPage: page by page, the
+// reads MapPage charges for the page and then the page itself. One dirent per
+// page makes ~2,100 names reach the second double-indirect leaf.
+TEST(Ext2FsTest, DirScanRunsExpandToMapPageReads) {
+  FsLayoutParams params;
+  params.dir_entries_per_block = 1;
+  Ext2Fs fs(256 * kMiB, params, nullptr);
+  MetaIo io;
+  const FsResult<InodeId> dir = fs.Create(kRootInode, "d", FileType::kDirectory, &io);
+  ASSERT_TRUE(dir.ok());
+  constexpr uint64_t kNames = 2100;
+  for (uint64_t i = 0; i < kNames; ++i) {
+    io.Reset();
+    ASSERT_TRUE(fs.Create(dir.value, 'f' + std::to_string(i), FileType::kRegular, &io).ok());
+  }
+  // With the device full, a create fails with ENOSPC on its dirent page: the
+  // name goes, but its slot stays, so page kNames is scanned yet unmapped.
+  io.Reset();
+  const FsResult<InodeId> filler = fs.Create(kRootInode, "filler", FileType::kRegular, &io);
+  ASSERT_TRUE(filler.ok());
+  for (uint64_t page = 0; fs.AllocatePage(filler.value, page, &io).ok(); ++page) {
+    io.Reset();
+  }
+  ASSERT_EQ(fs.allocator().free_blocks(), 0u);
+  io.Reset();
+  ASSERT_EQ(fs.Create(dir.value, "late", FileType::kRegular, &io).status, FsStatus::kNoSpace);
+  ASSERT_EQ(fs.FindDir(dir.value)->slot_count(), kNames + 1);
+
+  auto map_pages = [&](uint64_t pages) {
+    MetaIo mapped;
+    for (uint64_t page = 0; page < pages; ++page) {
+      const FsResult<BlockId> block = fs.MapPage(dir.value, page, &mapped);
+      EXPECT_TRUE(block.ok());
+      if (block.value != kInvalidBlock) {
+        mapped.reads.push_back({dir.value, page, block.value});
+      }
+    }
+    EXPECT_TRUE(mapped.runs.empty());
+    return ExpandedReads(mapped);
+  };
+  auto expect_scan = [&](const MetaIo& scan, uint64_t pages, const std::string& what) {
+    const std::vector<MetaRef> got = ExpandedReads(scan);
+    const std::vector<MetaRef> want = map_pages(pages);
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].ino, want[i].ino) << what << " read " << i;
+      ASSERT_EQ(got[i].index, want[i].index) << what << " read " << i;
+      ASSERT_EQ(got[i].block, want[i].block) << what << " read " << i;
+    }
+  };
+
+  // A negative lookup scans every page: the direct pages, the single-
+  // indirect stretch and two double-indirect leaves are one run each.
+  MetaIo scan;
+  ASSERT_EQ(fs.Lookup(dir.value, "missing", &scan).status, FsStatus::kNotFound);
+  EXPECT_EQ(scan.runs.size(), 4u);
+  expect_scan(scan, kNames + 1, "negative");
+  // A positive lookup stops at the name's page.
+  for (const uint64_t slot : {0, 1, 11, 12, 13, 1035, 1036, 2059, 2060, 2061, 2099}) {
+    scan.Reset();
+    ASSERT_TRUE(fs.Lookup(dir.value, 'f' + std::to_string(slot), &scan).ok());
+    expect_scan(scan, slot + 1, "slot " + std::to_string(slot));
+  }
+  // Mapping a later page turns the unmapped page into a hole inside the
+  // directory's block map.
+  io.Reset();
+  ASSERT_EQ(fs.Unlink(kRootInode, "filler", &io), FsStatus::kOk);
+  io.Reset();
+  ASSERT_TRUE(fs.AllocatePage(dir.value, kNames + 1, &io).ok());
+  scan.Reset();
+  ASSERT_EQ(fs.Lookup(dir.value, "missing", &scan).status, FsStatus::kNotFound);
+  expect_scan(scan, kNames + 1, "negative, hole in the map");
 }
 
 TEST(XfsFsTest, ChunkedAllocationBuildsFewExtents) {
