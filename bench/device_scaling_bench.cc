@@ -5,7 +5,7 @@
 // directly, in two parts, and writes BENCH_ssd.json:
 //
 //   - block level: a closed-loop pool of QD workers issuing random 4 KiB
-//     reads straight at an SsdModel behind the multi-queue scheduler,
+//     reads straight at an SsdModel behind its per-channel scheduler,
 //     swept over channels x queue depth. Aggregate IOPS must rise with
 //     queue depth until the channel count saturates it — the defining
 //     curve of an NVMe-class device ("ch8_qd16" names a cell);
@@ -54,7 +54,7 @@ BlockPoint RunBlockPoint(uint32_t channels, uint32_t queue_depth, Nanos duration
   SsdParams params;
   params.channels = channels;
   SsdModel device(params);
-  IoScheduler scheduler(&device, SchedulerKind::kMultiQueue);
+  IoScheduler scheduler(&device);
 
   // Closed loop: `queue_depth` workers, each with its own virtual-time
   // cursor, issue random 4 KiB reads back-to-back. The next request always

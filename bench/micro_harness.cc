@@ -15,8 +15,10 @@
 #include "src/core/stats.h"
 #include "src/core/timeline.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/io_scheduler.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_cache.h"
+#include "src/sim/ssd_model.h"
 #include "src/util/rng.h"
 
 namespace fsbench {
@@ -185,6 +187,38 @@ void BM_DiskModelRandomAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiskModelRandomAccess);
+
+// One block-layer service pass per iteration: 64 async 4 KiB writes at
+// seeded random LBAs, then Drain (the disk's C-SCAN sort or the SSD's
+// per-channel timelines, plus the device model's cost). The LBAs stay
+// within the first GiB so the SSD's page map stops growing once warm.
+// Divide the time per iteration by 64 for ns per request.
+void SchedulerDrain(benchmark::State& state, DeviceModel* device) {
+  constexpr uint64_t kSpanPages = 262144;
+  IoScheduler scheduler(device);
+  Rng rng(1);
+  Nanos now = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < 64; ++i) {
+      scheduler.SubmitAsync({IoKind::kWrite, rng.NextBelow(kSpanPages) * 8, 8}, now);
+    }
+    now = scheduler.Drain(now);
+    benchmark::DoNotOptimize(now);
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+
+void BM_HddSchedulerDrain(benchmark::State& state) {
+  DiskModel disk(DiskParams{}, 1);
+  SchedulerDrain(state, &disk);
+}
+BENCHMARK(BM_HddSchedulerDrain);
+
+void BM_SsdSchedulerDrain(benchmark::State& state) {
+  SsdModel ssd(SsdParams{});  // 8 channels
+  SchedulerDrain(state, &ssd);
+}
+BENCHMARK(BM_SsdSchedulerDrain);
 
 void BM_ThroughputTimelineRecord(benchmark::State& state) {
   ThroughputTimeline timeline(10 * kSecond);

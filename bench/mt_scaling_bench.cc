@@ -52,7 +52,7 @@ MachineFactory DiskBoundMachine() {
 }
 
 // Same small-cache testbed with the flash device swapped in (the device
-// axis): SSD devices always run the per-channel multi-queue scheduler.
+// axis): the scheduler keeps one timeline per flash channel.
 MachineFactory DiskBoundSsdMachine() {
   return [](uint64_t seed) {
     MachineConfig config = PaperTestbedConfig();

@@ -21,8 +21,9 @@
 // Parallelism contract: `channels()` reports how many independent service
 // units the device has and `ChannelOf(lba)` names the unit a request lands
 // on. A rotational disk is one head assembly (channels() == 1); an SSD
-// exposes its flash channels, and the scheduler's kMultiQueue mode keeps a
-// busy-until timeline per channel so requests to distinct channels overlap.
+// exposes its flash channels. The IoScheduler keeps a busy-until timeline
+// per channel so requests to distinct channels overlap, and `kind()` picks
+// the order it serves its background queue in.
 #ifndef SRC_SIM_DEVICE_MODEL_H_
 #define SRC_SIM_DEVICE_MODEL_H_
 
@@ -111,8 +112,8 @@ class DeviceModel {
   virtual AccessResult AccessEx(const IoRequest& req, Nanos now) = 0;
 
   // Independent service units. 1 for a rotational disk; the flash channel
-  // count for an SSD. The scheduler's kMultiQueue mode keeps one busy-until
-  // timeline per channel.
+  // count for an SSD. The scheduler keeps one busy-until timeline per
+  // channel.
   virtual uint32_t channels() const { return 1; }
   // Which channel `lba` lands on; always 0 for single-channel devices.
   virtual uint32_t ChannelOf(uint64_t lba) const {

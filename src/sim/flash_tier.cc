@@ -10,7 +10,6 @@ FlashTier::FlashTier(const FlashTierConfig& config)
   assert(capacity_pages_ > 0);
   table_.Reserve(capacity_pages_);
   keys_.reserve(capacity_pages_);
-  blocks_.reserve(capacity_pages_);
   links_.reserve(capacity_pages_);
   hashes_.reserve(capacity_pages_);
   slots_.reserve(capacity_pages_);
@@ -39,7 +38,6 @@ uint32_t FlashTier::AllocNode(const PageKey& key, uint32_t hash) {
     assert(keys_.size() < capacity_pages_);
     n = static_cast<uint32_t>(keys_.size());
     keys_.emplace_back();
-    blocks_.push_back(kInvalidBlock);
     links_.emplace_back();
     hashes_.push_back(0);
     slots_.push_back(0);
@@ -101,7 +99,7 @@ bool FlashTier::LookupAndPromote(const PageKey& key) {
   return true;
 }
 
-void FlashTier::Insert(const PageKey& key, BlockId block) {
+void FlashTier::Insert(const PageKey& key) {
   const uint32_t hash = HashOf(key);
   const size_t slot = ProbeSlot(key, hash);
   const uint32_t existing = table_.at(slot);
@@ -111,7 +109,6 @@ void FlashTier::Insert(const PageKey& key, BlockId block) {
       LruUnlink(existing);
       LruPushFront(existing);
     }
-    blocks_[existing] = block;
     return;
   }
   while (size_ >= capacity_pages_) {
@@ -122,7 +119,6 @@ void FlashTier::Insert(const PageKey& key, BlockId block) {
   // than trust `slot` (same re-probe-after-mutation rule as the page cache).
   const uint32_t n = AllocNode(key, hash);
   TableInsertAt(ProbeSlot(key, hash), n);
-  blocks_[n] = block;
   LruPushFront(n);
   ++size_;
   ++stats_.insertions;
@@ -152,7 +148,6 @@ void FlashTier::RemoveFile(InodeId ino) {
 void FlashTier::Clear() {
   table_.Clear();
   keys_.clear();
-  blocks_.clear();
   links_.clear();
   hashes_.clear();
   slots_.clear();

@@ -8,8 +8,9 @@
 // (~100 us class), far from both RAM (~microsecond) and disk
 // (~10 millisecond), which is what creates the middle step.
 //
-// The tier stores identities only (like the page cache): LRU over PageKeys
-// with the backing device block retained for writeback bookkeeping.
+// The tier stores identities only (like the page cache): LRU over PageKeys.
+// It holds clean copies, so it needs no backing block: a promoted page's
+// block comes from the file system's mapping.
 //
 // Layout mirrors src/sim/page_cache.h's slab scheme, scaled down to a single
 // LRU list: one FlatIndex (src/sim/flat_index.h) maps PageKey -> node index
@@ -18,7 +19,6 @@
 //   keys_[n]    identity, compared while probing (ino == kInvalidInode when
 //               the node is on the free list — PageKey{0, ...} is never a
 //               legal tier key, pages of real files have ino >= 1)
-//   blocks_[n]  backing device block
 //   links_[n]   intrusive LRU list prev/next (free list reuses .next)
 //   hashes_[n]  cached key hash (backward-shift homes)
 //   slots_[n]   current table slot (probe-free erase)
@@ -64,7 +64,7 @@ class FlashTier {
   bool LookupAndPromote(const PageKey& key);
 
   // Admits a page demoted from RAM; evicts the LRU page when full.
-  void Insert(const PageKey& key, BlockId block);
+  void Insert(const PageKey& key);
 
   void Remove(const PageKey& key);
   void RemoveFile(InodeId ino);
@@ -124,7 +124,6 @@ class FlashTier {
   // Slab: parallel arrays indexed by node id (see the layout comment atop
   // this header); grows once up to capacity_pages_ nodes, then recycles.
   std::vector<PageKey> keys_;
-  std::vector<BlockId> blocks_;
   std::vector<Link> links_;
   std::vector<uint32_t> hashes_;
   std::vector<uint32_t> slots_;

@@ -5,24 +5,14 @@
 
 namespace fsbench {
 
-IoScheduler::IoScheduler(DeviceModel* disk, SchedulerKind kind) : disk_(disk), kind_(kind) {
-  if (kind_ == SchedulerKind::kMultiQueue) {
-    channel_busy_.assign(disk_->channels(), 0);
-  }
-}
+IoScheduler::IoScheduler(DeviceModel* disk)
+    : disk_(disk), channel_busy_(disk->channels(), 0) {}
 
 Nanos IoScheduler::QueueStart(const IoRequest& req, Nanos now) const {
-  if (channel_busy_.empty()) {
-    return std::max(now, busy_until_);
-  }
   return std::max(now, channel_busy_[disk_->ChannelOf(req.lba)]);
 }
 
 void IoScheduler::CommitDeviceEnd(const IoRequest& req, Nanos device_end) {
-  if (channel_busy_.empty()) {
-    busy_until_ = std::max(busy_until_, device_end);
-    return;
-  }
   Nanos& channel = channel_busy_[disk_->ChannelOf(req.lba)];
   channel = std::max(channel, device_end);
   busy_until_ = std::max(busy_until_, channel);
@@ -96,24 +86,41 @@ void IoScheduler::NotifyFailure(const IoRequest& req, Nanos at) {
   }
 }
 
-void IoScheduler::ServicePendingMultiQueue(Nanos from) {
-  // Per-channel FIFO: requests dispatch in submission order, each against
-  // its own channel's timeline, so the async backlog spreads over every
-  // channel instead of serialising on one. The swap-out protects against
-  // re-entrant submissions exactly as in the single-queue pass.
+void IoScheduler::ServicePending(Nanos from) {
+  if (pending_.empty()) {
+    return;
+  }
+  if (disk_->kind() == DeviceKind::kHdd) {
+    // C-SCAN: ascending LBA from the current head position, wrapping once at
+    // the top. The sort is stable with respect to equal LBAs, preserving
+    // submission order for overlapping requests; the rotate starts service
+    // at the first request ahead of the head instead of forcing a full
+    // stroke back to the lowest queued LBA. Flash keeps submission order.
+    std::stable_sort(
+        pending_.begin(), pending_.end(),
+        [](const PendingRequest& a, const PendingRequest& b) { return a.req.lba < b.req.lba; });
+    const auto ahead =
+        std::find_if(pending_.begin(), pending_.end(),
+                     [this](const PendingRequest& p) { return p.req.lba >= head_lba_; });
+    std::rotate(pending_.begin(), ahead, pending_.end());
+  }
+  // The service pass may re-enter the scheduler: a permanent write failure
+  // notifies the error sink, and the file system's reaction (journal abort)
+  // must not observe a half-serviced queue. Swap the batch out first.
   std::vector<PendingRequest> batch;
   batch.swap(pending_);
   for (const PendingRequest& pending : batch) {
     const IoRequest& req = pending.req;
-    const Nanos t =
-        std::max({QueueStart(req, from), pending.submitted});
-    if (dispatch_log_ != nullptr) {
-      dispatch_log_->push_back(req.lba);
-    }
-    Nanos end = t;
-    Nanos device_end = t;
-    const std::optional<Nanos> completion = AttemptWithRetry(req, t, &end, &device_end);
+    // Causality: a thread with an earlier cursor may trigger this pass, but
+    // the device cannot start a request before it was submitted.
+    const Nanos start = std::max(QueueStart(req, from), pending.submitted);
+    Nanos end = start;
+    Nanos device_end = start;
+    const std::optional<Nanos> completion = AttemptWithRetry(req, start, &end, &device_end);
     ++stats_.async_serviced;
+    head_lba_ = req.lba + req.sector_count;
+    // The channel frees up at device_end, failed attempts included (backoff
+    // gaps are reclaimed by the queue); the request completes at *completion.
     CommitDeviceEnd(req, device_end);
     if (!completion.has_value()) {
       ++stats_.async_errors;
@@ -126,73 +133,11 @@ void IoScheduler::ServicePendingMultiQueue(Nanos from) {
     }
   }
   if (pending_.empty() && batch.capacity() > pending_.capacity()) {
-    batch.clear();
-    pending_.swap(batch);
-  }
-}
-
-void IoScheduler::ServicePending(Nanos from) {
-  if (pending_.empty()) {
-    return;
-  }
-  if (kind_ == SchedulerKind::kMultiQueue) {
-    ServicePendingMultiQueue(from);
-    return;
-  }
-  if (kind_ == SchedulerKind::kElevator) {
-    // C-SCAN: ascending LBA from the current head position, wrapping once at
-    // the top. The sort is stable with respect to equal LBAs, preserving
-    // submission order for overlapping requests; the rotate starts service
-    // at the first request ahead of the head instead of forcing a full
-    // stroke back to the lowest queued LBA.
-    std::stable_sort(
-        pending_.begin(), pending_.end(),
-        [](const PendingRequest& a, const PendingRequest& b) { return a.req.lba < b.req.lba; });
-    const auto ahead =
-        std::find_if(pending_.begin(), pending_.end(),
-                     [this](const PendingRequest& p) { return p.req.lba >= head_lba_; });
-    std::rotate(pending_.begin(), ahead, pending_.end());
-  }
-  Nanos t = std::max(busy_until_, from);
-  // The service pass may re-enter the scheduler: a permanent write failure
-  // notifies the error sink, and the file system's reaction (journal abort)
-  // must not observe a half-serviced queue. Swap the batch out first.
-  std::vector<PendingRequest> batch;
-  batch.swap(pending_);
-  for (const PendingRequest& pending : batch) {
-    const IoRequest& req = pending.req;
-    // Causality: a thread with an earlier cursor may trigger this pass, but
-    // the device cannot start a request before it was submitted.
-    t = std::max(t, pending.submitted);
-    if (dispatch_log_ != nullptr) {
-      dispatch_log_->push_back(req.lba);
-    }
-    Nanos end = t;
-    Nanos device_end = t;
-    const std::optional<Nanos> completion = AttemptWithRetry(req, t, &end, &device_end);
-    ++stats_.async_serviced;
-    head_lba_ = req.lba + req.sector_count;
-    if (!completion.has_value()) {
-      ++stats_.async_errors;
-      t = device_end;  // failed attempts still occupied the device
-      NotifyFailure(req, end);
-      continue;
-    }
-    // The device frees up at device_end (backoff gaps are reclaimed by the
-    // queue); the request itself completes at *completion.
-    t = device_end;
-    AdmitInflight(*completion);
-    if (observer_ != nullptr) {
-      observer_->OnIoComplete(req, *completion, /*ok=*/true);
-    }
-  }
-  if (pending_.empty() && batch.capacity() > pending_.capacity()) {
     // Keep the larger buffer to stay allocation-free in steady state (only
     // when no re-entrant submission repopulated the queue meanwhile).
     batch.clear();
     pending_.swap(batch);
   }
-  busy_until_ = std::max(t, busy_until_);
 }
 
 std::optional<Nanos> IoScheduler::SubmitSync(const IoRequest& req, Nanos now) {
@@ -204,9 +149,6 @@ std::optional<Nanos> IoScheduler::SubmitSync(const IoRequest& req, Nanos now) {
       std::max(stats_.max_queue_depth, inflight_.size() + pending_.size() + 1);
   ServicePending(now);
   const Nanos start = QueueStart(req, now);
-  if (dispatch_log_ != nullptr) {
-    dispatch_log_->push_back(req.lba);
-  }
   Nanos end = start;
   Nanos device_end = start;
   const std::optional<Nanos> completion = AttemptWithRetry(req, start, &end, &device_end);
@@ -235,21 +177,14 @@ Nanos IoScheduler::SubmitAsync(const IoRequest& req, Nanos now) {
   if (pending_.size() < kMaxPendingAsync) {
     return now;
   }
-  // The queue is full: admit the backlog onto the device timeline(s) and
-  // throttle the producer until the device has a free moment. In
-  // kMultiQueue mode that is the earliest-idle channel (the device can
-  // accept new work as soon as any channel drains); single-queue devices
-  // wait out the whole timeline. The stall is the producer's to pay —
-  // that is the point: a writer outrunning the device must feel it.
+  // The queue is full: admit the backlog onto the channel timelines and
+  // throttle the producer until the device has a free moment — its
+  // earliest-idle channel (the device can accept new work as soon as any
+  // channel drains). The stall is the producer's to pay — that is the
+  // point: a writer outrunning the device must feel it.
   ServicePending(now);
-  Nanos free_at = busy_until_;
-  if (!channel_busy_.empty()) {
-    free_at = channel_busy_[0];
-    for (const Nanos busy : channel_busy_) {
-      free_at = std::min(free_at, busy);
-    }
-  }
-  const Nanos admit = std::max(now, free_at);
+  const Nanos admit =
+      std::max(now, *std::min_element(channel_busy_.begin(), channel_busy_.end()));
   if (admit > now) {
     ++stats_.async_throttle_stalls;
     stats_.total_async_throttle_time += admit - now;

@@ -1,24 +1,22 @@
 // Request queueing in front of a DeviceModel.
 //
-// The scheduler owns the device timeline: it is deliberately *clockless* —
+// The scheduler owns the device timelines: it is deliberately *clockless* —
 // every entry point takes the caller's current virtual time explicitly, so N
 // simulated threads with independent clock cursors can share one device.
-// Synchronous requests (demand reads, fsync writes) start no earlier than
-// the relevant busy-until timeline — the absolute time the device finishes
+// It keeps one busy-until timeline per device channel
+// (DeviceModel::channels()/ChannelOf): one for a rotational disk, one per
+// flash channel for an SSD, so requests landing on distinct channels
+// overlap in time. Synchronous requests (demand reads, fsync writes) start
+// no earlier than their channel's timeline — the absolute time it finishes
 // already-admitted work; a thread whose cursor trails another thread's I/O
 // therefore observes real queueing delay. Asynchronous requests (readahead,
-// writeback) only occupy the device in the background and are serviced — in
-// FIFO or elevator (C-SCAN, ascending from the current head position with
-// wrap-around) order — before the next synchronous request or an explicit
-// Drain().
-//
-// kMultiQueue is the NVMe-class mode: the scheduler keeps one busy-until
-// timeline per device channel (DeviceModel::channels()/ChannelOf), so
-// requests landing on distinct channels overlap in time and aggregate
-// throughput rises with queue depth until the channels saturate. There is
-// no elevator — flash has no head to spare a seek — so dispatch is FIFO
-// per channel. `busy_until()` stays the max over every channel (the stable
-// point and replica-choice consumers need the device-wide horizon).
+// writeback) only occupy the device in the background and are serviced
+// before the next synchronous request or an explicit Drain(). The device
+// kind picks their order: a disk gets the elevator (C-SCAN, ascending from
+// the current head position with wrap-around), flash gets submission order
+// — it has no head to spare a seek. `busy_until()` is the max over every
+// channel (the stable point and replica-choice consumers need the
+// device-wide horizon).
 //
 // Queue-depth and wait accounting reflect the device's real outstanding
 // queue: admitted-but-not-yet-completed requests are tracked in a completion
@@ -45,8 +43,6 @@
 #include "src/util/units.h"
 
 namespace fsbench {
-
-enum class SchedulerKind : uint8_t { kFifo, kElevator, kMultiQueue };
 
 // Abstract block endpoint the upper layers (VFS, journal, TxnLog) issue
 // requests against. A single IoScheduler is the degenerate case; a
@@ -132,7 +128,7 @@ struct IoSchedulerStats {
 
 class IoScheduler : public BlockIo {
  public:
-  explicit IoScheduler(DeviceModel* disk, SchedulerKind kind = SchedulerKind::kElevator);
+  explicit IoScheduler(DeviceModel* disk);
 
   // Issues a synchronous request from a thread whose cursor reads `now`.
   // Pending async requests are serviced first (they were admitted before the
@@ -150,11 +146,10 @@ class IoScheduler : public BlockIo {
   // Back-pressure: the background queue is bounded (kMaxPendingAsync, the
   // block layer's nr_requests). A submission that fills it forces a
   // service pass and returns a stall — the producer waits until the device
-  // has a free moment (the earliest-idle channel in kMultiQueue mode, the
-  // device timeline otherwise). Without this, a producer outrunning the
-  // device builds an unbounded backlog whose cost lands as a convoy on
-  // whichever unlucky sync request arrives next, instead of on the
-  // producer that earned it.
+  // has a free moment (its earliest-idle channel). Without this, a producer
+  // outrunning the device builds an unbounded backlog whose cost lands as a
+  // convoy on whichever unlucky sync request arrives next, instead of on
+  // the producer that earned it.
   Nanos SubmitAsync(const IoRequest& req, Nanos now) override;
 
   // Services all queued async requests. Returns the time the device goes
@@ -163,25 +158,15 @@ class IoScheduler : public BlockIo {
   Nanos Drain(Nanos now) override;
 
   // Absolute virtual time until which the device is busy with already
-  // admitted work (the max over every channel in kMultiQueue mode).
+  // admitted work (the max over every channel).
   Nanos busy_until() const { return busy_until_; }
-  // Per-channel timeline (kMultiQueue); busy_until() for single-queue kinds.
-  Nanos channel_busy_until(uint32_t channel) const {
-    return channel_busy_.empty() ? busy_until_ : channel_busy_[channel];
-  }
 
   size_t pending_async() const { return pending_.size(); }
   // Admitted requests not yet retired against the last observed time.
   size_t inflight() const { return inflight_.size(); }
   const IoSchedulerStats& stats() const { return stats_; }
   DeviceModel* disk() { return disk_; }
-  SchedulerKind kind() const { return kind_; }
-  const RetryPolicy& retry_policy() const { return policy_; }
   void set_retry_policy(const RetryPolicy& policy) { policy_ = policy; }
-
-  // Test hook: when set, the LBA of every request is appended in dispatch
-  // order (async services and sync submissions alike).
-  void set_dispatch_log(std::vector<uint64_t>* log) { dispatch_log_ = log; }
 
   // Crash-tracking hook (see IoCompletionObserver above).
   void set_completion_observer(IoCompletionObserver* observer) { observer_ = observer; }
@@ -210,17 +195,14 @@ class IoScheduler : public BlockIo {
   // Shared permanent-failure tail: observer + write-error sink.
   void NotifyFailure(const IoRequest& req, Nanos at);
 
-  // Services pending async requests starting no earlier than `from`.
+  // Services pending async requests starting no earlier than `from`, each
+  // on its own channel's timeline.
   void ServicePending(Nanos from);
-  // kMultiQueue variant: FIFO dispatch, each request onto its channel's
-  // timeline so distinct channels overlap.
-  void ServicePendingMultiQueue(Nanos from);
 
-  // Earliest start for a request arriving at `now`: the owning channel's
-  // timeline in kMultiQueue mode, the single device timeline otherwise.
+  // Earliest start for a request arriving at `now`: its channel's timeline.
   Nanos QueueStart(const IoRequest& req, Nanos now) const;
-  // Credits the device time of a finished attempt back to the right
-  // timeline (channel + device-wide max, or just the device timeline).
+  // Credits the device time of a finished attempt back to the request's
+  // channel timeline and the device-wide max.
   void CommitDeviceEnd(const IoRequest& req, Nanos device_end);
 
   // Retires in-flight completions at or before `now`.
@@ -235,16 +217,14 @@ class IoScheduler : public BlockIo {
   };
 
   DeviceModel* disk_;
-  SchedulerKind kind_;
   RetryPolicy policy_;
   Nanos busy_until_ = 0;
-  // Per-channel busy-until timelines; non-empty only in kMultiQueue mode.
+  // One busy-until timeline per device channel.
   std::vector<Nanos> channel_busy_;
   // One past the last dispatched LBA: the elevator's head position.
   uint64_t head_lba_ = 0;
   std::vector<PendingRequest> pending_;
   std::vector<Nanos> inflight_;  // min-heap of admitted completion times
-  std::vector<uint64_t>* dispatch_log_ = nullptr;
   IoCompletionObserver* observer_ = nullptr;
   IoWriteErrorSink* error_sink_ = nullptr;
   IoSchedulerStats stats_;

@@ -104,13 +104,7 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
       }
       disk->EnableFaults(plan, config_.seed ^ 0xfa1c7000ULL ^ stride);
     }
-    // A disk gets the elevator, which orders requests for its one head.
-    // Flash gets the multi-queue scheduler: an elevator in front of a device
-    // with no head is pure loss, and the per-channel timelines are what make
-    // the channels pay off.
-    const SchedulerKind sched_kind =
-        kind == DeviceKind::kSsd ? SchedulerKind::kMultiQueue : SchedulerKind::kElevator;
-    auto scheduler = std::make_unique<IoScheduler>(disk.get(), sched_kind);
+    auto scheduler = std::make_unique<IoScheduler>(disk.get());
     scheduler->set_retry_policy(config_.retry);
     disks_.push_back(std::move(disk));
     schedulers_.push_back(std::move(scheduler));

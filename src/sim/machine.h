@@ -38,11 +38,12 @@ struct MachineConfig {
   double disk_speed_jitter = 0.05;    // per-run uniform +- fraction
   DiskParams disk;
   // Default device kind for the whole fleet (per-device overrides live in
-  // ArrayConfig::device_kinds). The kind also picks each device's
-  // scheduler. kSsd builds SsdModel devices from `ssd` (capacity
-  // machine-managed: overridden with disk.capacity so the file system
-  // layout and the device always agree) behind kMultiQueue schedulers;
-  // kHdd keeps the historical DiskModel behind a kElevator scheduler.
+  // ArrayConfig::device_kinds). kSsd builds SsdModel devices from `ssd`
+  // (capacity machine-managed: overridden with disk.capacity so the file
+  // system layout and the device always agree); kHdd keeps the historical
+  // DiskModel. The kind also picks the order each device's IoScheduler
+  // serves its background queue in: the elevator for a disk, submission
+  // order for flash.
   DeviceKind device = DeviceKind::kHdd;
   SsdParams ssd;
   FsLayoutParams layout;

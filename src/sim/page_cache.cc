@@ -232,30 +232,17 @@ void PageCache::PolicyGhostRevive(uint32_t n) {
   ListPushFront(CacheListId::kT2, n);
 }
 
-uint32_t PageCache::PolicyChooseVictim() {
+// Marked inline so GCC folds it into both eviction-path callers, as it did
+// the two copies of the switch it replaces.
+inline uint32_t PageCache::PeekVictim() const {
   switch (kind_) {
     case EvictionPolicyKind::kLru:
       return AnchorOf(CacheListId::kLruList).tail;
-    case EvictionPolicyKind::kClock: {
-      // Second chance: a set referenced bit buys one more lap of the hand.
-      uint32_t hand = clock_hand_;
-      for (;;) {
-        if (hand == kNil) {
-          hand = AnchorOf(CacheListId::kClockRing).head;
-        }
-        if ((list_meta_[hand] & kReferencedBit) != 0) {
-          list_meta_[hand] = static_cast<uint8_t>(list_meta_[hand] & ~kReferencedBit);
-          hand = links_[hand].next;
-        } else {
-          clock_hand_ = links_[hand].next;
-          return hand;
-        }
-      }
-    }
+    case EvictionPolicyKind::kClock:
+      return clock_hand_ != kNil ? clock_hand_ : AnchorOf(CacheListId::kClockRing).head;
     case EvictionPolicyKind::kTwoQueue: {
       const ListAnchor& a1in = AnchorOf(CacheListId::kA1in);
       if (a1in.size > geometry_.kin || AnchorOf(CacheListId::kAm).size == 0) {
-        assert(a1in.size > 0);
         return a1in.tail;
       }
       return AnchorOf(CacheListId::kAm).tail;
@@ -269,11 +256,25 @@ uint32_t PageCache::PolicyChooseVictim() {
       if (from_t1) {
         return t1.tail;
       }
-      assert(t2.size > 0);
       return t2.tail;
     }
   }
   return kNil;
+}
+
+uint32_t PageCache::PolicyChooseVictim() {
+  uint32_t victim = PeekVictim();
+  assert(victim != kNil);
+  if (kind_ == EvictionPolicyKind::kClock) {
+    // Second chance: a set referenced bit buys one more lap of the hand.
+    while ((list_meta_[victim] & kReferencedBit) != 0) {
+      list_meta_[victim] = static_cast<uint8_t>(list_meta_[victim] & ~kReferencedBit);
+      victim = links_[victim].next != kNil ? links_[victim].next
+                                           : AnchorOf(CacheListId::kClockRing).head;
+    }
+    clock_hand_ = links_[victim].next;
+  }
+  return victim;
 }
 
 void PageCache::PolicyDemoteVictim(uint32_t n) {
@@ -336,30 +337,7 @@ void PageCache::PrefetchVictimHint() const {
   // starting its cache lines early overlaps eviction latency with the probe.
   // A wrong or useless hint (hit path, CLOCK hand walk, ARC predicate flip)
   // costs nothing but the prefetch itself.
-  uint32_t hint = kNil;
-  switch (kind_) {
-    case EvictionPolicyKind::kLru:
-      hint = AnchorOf(CacheListId::kLruList).tail;
-      break;
-    case EvictionPolicyKind::kClock:
-      hint = clock_hand_ != kNil ? clock_hand_ : AnchorOf(CacheListId::kClockRing).head;
-      break;
-    case EvictionPolicyKind::kTwoQueue: {
-      const ListAnchor& a1in = AnchorOf(CacheListId::kA1in);
-      hint = (a1in.size > geometry_.kin || AnchorOf(CacheListId::kAm).size == 0)
-                 ? a1in.tail
-                 : AnchorOf(CacheListId::kAm).tail;
-      break;
-    }
-    case EvictionPolicyKind::kArc: {
-      const ListAnchor& t1 = AnchorOf(CacheListId::kT1);
-      const ListAnchor& t2 = AnchorOf(CacheListId::kT2);
-      hint = (t1.size > 0 && (static_cast<double>(t1.size) > arc_p_ || t2.size == 0))
-                 ? t1.tail
-                 : t2.tail;
-      break;
-    }
-  }
+  const uint32_t hint = PeekVictim();
   if (hint == kNil) {
     return;
   }

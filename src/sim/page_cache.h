@@ -245,6 +245,9 @@ class PageCache {
   void PolicyInsertNew(uint32_t n);       // brand-new resident node
   void PolicyGhostRevive(uint32_t n);     // ghost node becoming resident
   bool PolicyPrepareNewInsert();          // ARC ghost trim; true if table changed
+  // Next victim without moving anything; for CLOCK, where the hand's walk
+  // starts.
+  uint32_t PeekVictim() const;
   uint32_t PolicyChooseVictim();          // resident node to evict
   void PrefetchVictimHint() const;        // overlap victim lines with the probe
   void PolicyDemoteVictim(uint32_t n);    // ghost transition or free

@@ -5,9 +5,9 @@
 // the controller drives `channels` independent flash channels, so requests
 // landing on distinct channels overlap in time. The device reports that
 // topology through DeviceModel::channels()/ChannelOf(), and the
-// IoScheduler's kMultiQueue mode keeps one busy-until timeline per channel,
-// which is what makes aggregate throughput RISE with queue depth until the
-// channels saturate (the HDD's single timeline makes it collapse instead).
+// IoScheduler keeps one busy-until timeline per channel, which is what
+// makes aggregate throughput RISE with queue depth until the channels
+// saturate (the HDD's single timeline makes it collapse instead).
 //
 // Timing of one request (no RNG anywhere — the model is a pure function of
 // the request sequence):
@@ -52,8 +52,8 @@ namespace fsbench {
 struct SsdParams {
   Bytes capacity = 250 * kGiB;  // host-visible logical capacity
   uint32_t sector_bytes = 512;
-  // Independent flash channels; requests to distinct channels overlap under
-  // the multi-queue scheduler.
+  // Independent flash channels; requests to distinct channels overlap on
+  // the scheduler's per-channel timelines.
   uint32_t channels = 8;
   // Flash page: the FTL mapping unit and the media program/read unit.
   Bytes page_bytes = 4 * kKiB;

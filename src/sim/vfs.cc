@@ -36,6 +36,11 @@ class PathCursor {
   size_t pos_ = 0;
 };
 
+// Pages one background writeback pass takes off the dirty list.
+constexpr size_t kWritebackBatchPages = 256;
+// Cap on pages read in one coalesced demand request.
+constexpr uint32_t kMaxDemandBatch = 32;
+
 }  // namespace
 
 Vfs::Vfs(VirtualClock* clock, BlockIo* io, FileSystem* fs, const VfsConfig& config,
@@ -47,8 +52,7 @@ Vfs::Vfs(VirtualClock* clock, BlockIo* io, FileSystem* fs, const VfsConfig& conf
       config_(config),
       cache_(config.cache_capacity_pages, config.eviction),
       readahead_(config.readahead_override.value_or(fs->readahead_config())) {
-  dirty_limit_ = config_.dirty_limit_pages != 0 ? config_.dirty_limit_pages
-                                                : std::max<size_t>(1, cache_.capacity() / 10);
+  dirty_limit_ = std::max<size_t>(1, cache_.capacity() / 10);
   auto scale = [this](Nanos cost) {
     return static_cast<Nanos>(static_cast<double>(cost) * config_.cpu_cost_multiplier);
   };
@@ -94,7 +98,7 @@ void Vfs::HandleEvictions(const PageCache::EvictedBatch& evicted) {
     // Demote RAM evictions into the flash tier (clean copies; durability is
     // handled by the writeback above).
     if (flash_ != nullptr && page.block != kInvalidBlock) {
-      flash_->Insert(page.key, page.block);
+      flash_->Insert(page.key);
     }
   }
 }
@@ -232,7 +236,7 @@ void Vfs::MaybeWriteback() {
   if (cache_.dirty_count() <= dirty_limit_) {
     return;
   }
-  WritebackDirty(config_.writeback_batch_pages);
+  WritebackDirty(kWritebackBatchPages);
 }
 
 void Vfs::JournalTick() {
@@ -463,7 +467,7 @@ FsResult<Bytes> Vfs::Read(int fd, Bytes offset, Bytes length) {
     }
     // Coalesce physically contiguous missing pages within the op range.
     uint32_t batch = 1;
-    while (batch < config_.max_demand_batch && page + batch <= last_page) {
+    while (batch < kMaxDemandBatch && page + batch <= last_page) {
       const PageKey next_key{file->ino, page + batch};
       if (cache_.Contains(next_key)) {
         break;
@@ -840,7 +844,7 @@ FsStatus Vfs::PrewarmFile(std::string_view path) {
     if (flash_ != nullptr) {
       for (const PageCache::Evicted& victim : evicted) {
         if (victim.block != kInvalidBlock) {
-          flash_->Insert(victim.key, victim.block);
+          flash_->Insert(victim.key);
         }
       }
     }

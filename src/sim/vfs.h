@@ -38,12 +38,6 @@ struct VfsConfig {
   // Per-run CPU speed multiplier (machine jitter model); scales the two
   // costs above.
   double cpu_cost_multiplier = 1.0;
-  // Background writeback starts when dirty pages exceed this many pages
-  // (0 = tenth of the cache).
-  size_t dirty_limit_pages = 0;
-  size_t writeback_batch_pages = 256;
-  // Cap on pages read in one coalesced demand request.
-  uint32_t max_demand_batch = 32;
   // Override the file system's readahead configuration (for ablations).
   std::optional<ReadaheadConfig> readahead_override;
 };
@@ -220,6 +214,7 @@ class Vfs : public CheckpointSink, public IoWriteErrorSink {
   PageCache cache_;
   ReadaheadPolicy readahead_;
   std::vector<std::optional<OpenFile>> fd_table_;
+  // Background writeback starts when dirty pages exceed a tenth of the cache.
   size_t dirty_limit_;
   VfsStats stats_;
   // Reused scratch buffers, the per-Vfs arena of the operation pipeline: one

@@ -142,7 +142,7 @@ TEST(FlashTierDifferentialTest, RandomOpsMatchListAndMapReference) {
         if (rng.NextBelow(2) == 0) {
           ASSERT_EQ(tier.LookupAndPromote(key), ref.LookupAndPromote(key)) << "op " << op;
         } else {
-          tier.Insert(key, 1000 + ino * kPagesPerFile + page);
+          tier.Insert(key);
           ref.Insert(key, 1000 + ino * kPagesPerFile + page);
         }
         break;
@@ -167,7 +167,7 @@ TEST(FlashTierDifferentialTest, CapacityOneMatchesReference) {
     if (rng.NextBelow(3) == 0) {
       ASSERT_EQ(tier.LookupAndPromote(key), ref.LookupAndPromote(key)) << "op " << op;
     } else {
-      tier.Insert(key, key.index);
+      tier.Insert(key);
       ref.Insert(key, key.index);
     }
   }

@@ -32,9 +32,9 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
   auto drive = [](FlashTier& tier) {
     // Interleave three files so RemoveFile has scattered matches.
     for (uint64_t i = 0; i < 24; ++i) {
-      tier.Insert(PageKey{1, i}, 100 + i);
-      tier.Insert(PageKey{2, i}, 200 + i);
-      tier.Insert(PageKey{3, i}, 300 + i);  // overflows capacity: evictions
+      tier.Insert(PageKey{1, i});
+      tier.Insert(PageKey{2, i});
+      tier.Insert(PageKey{3, i});  // overflows capacity: evictions
     }
     tier.RemoveFile(2);
     // Post-removal traffic: hit/miss pattern and further evictions must be
@@ -42,7 +42,7 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
     for (uint64_t i = 0; i < 24; ++i) {
       tier.LookupAndPromote(PageKey{1, i});
       tier.LookupAndPromote(PageKey{2, i});
-      tier.Insert(PageKey{4, i}, 400 + i);
+      tier.Insert(PageKey{4, i});
     }
   };
   drive(fresh);
@@ -65,7 +65,7 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
 TEST(FlashTierTest, MissThenHit) {
   FlashTier tier(SmallTier(8));
   EXPECT_FALSE(tier.LookupAndPromote(Key(0)));
-  tier.Insert(Key(0), 100);
+  tier.Insert(Key(0));
   EXPECT_TRUE(tier.Contains(Key(0)));
   EXPECT_TRUE(tier.LookupAndPromote(Key(0)));
   // Exclusive tiering: the promotion removed the page.
@@ -76,10 +76,10 @@ TEST(FlashTierTest, MissThenHit) {
 
 TEST(FlashTierTest, CapacityEnforcedLru) {
   FlashTier tier(SmallTier(3));
-  tier.Insert(Key(0), 0);
-  tier.Insert(Key(1), 1);
-  tier.Insert(Key(2), 2);
-  tier.Insert(Key(3), 3);  // evicts 0 (LRU)
+  tier.Insert(Key(0));
+  tier.Insert(Key(1));
+  tier.Insert(Key(2));
+  tier.Insert(Key(3));  // evicts 0 (LRU)
   EXPECT_EQ(tier.size(), 3u);
   EXPECT_FALSE(tier.Contains(Key(0)));
   EXPECT_TRUE(tier.Contains(Key(1)));
@@ -88,19 +88,19 @@ TEST(FlashTierTest, CapacityEnforcedLru) {
 
 TEST(FlashTierTest, ReinsertRefreshesRecency) {
   FlashTier tier(SmallTier(2));
-  tier.Insert(Key(0), 0);
-  tier.Insert(Key(1), 1);
-  tier.Insert(Key(0), 0);  // refresh: 1 is now LRU
-  tier.Insert(Key(2), 2);
+  tier.Insert(Key(0));
+  tier.Insert(Key(1));
+  tier.Insert(Key(0));  // refresh: 1 is now LRU
+  tier.Insert(Key(2));
   EXPECT_TRUE(tier.Contains(Key(0)));
   EXPECT_FALSE(tier.Contains(Key(1)));
 }
 
 TEST(FlashTierTest, RemoveAndRemoveFile) {
   FlashTier tier(SmallTier(8));
-  tier.Insert(PageKey{1, 0}, 0);
-  tier.Insert(PageKey{1, 1}, 1);
-  tier.Insert(PageKey{2, 0}, 2);
+  tier.Insert(PageKey{1, 0});
+  tier.Insert(PageKey{1, 1});
+  tier.Insert(PageKey{2, 0});
   tier.Remove(PageKey{1, 0});
   EXPECT_FALSE(tier.Contains(PageKey{1, 0}));
   tier.RemoveFile(1);
@@ -112,8 +112,8 @@ TEST(FlashTierTest, RemoveAndRemoveFile) {
 
 TEST(FlashTierTest, RamEvictionsDemoteThroughTheBatchSink) {
   // Regression for the slab cache's EvictedBatch reporting: pages evicted
-  // from a full RAM cache must still reach the flash tier with their backing
-  // block intact.
+  // from a full RAM cache must still reach the flash tier, and the batch
+  // must carry their backing blocks (the VFS demotes only mapped pages).
   PageCache ram(2, EvictionPolicyKind::kLru);
   FlashTier tier(SmallTier(8));
   PageCache::EvictedBatch evicted;
@@ -122,7 +122,7 @@ TEST(FlashTierTest, RamEvictionsDemoteThroughTheBatchSink) {
     ram.Insert(Key(i), 100 + i, /*dirty=*/false, &evicted);
     for (const PageCache::Evicted& page : evicted) {
       ASSERT_NE(page.block, kInvalidBlock);
-      tier.Insert(page.key, page.block);
+      tier.Insert(page.key);
     }
   }
   // Keys 0..2 were evicted (in LRU order) and demoted; 3 and 4 are in RAM.

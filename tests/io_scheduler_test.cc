@@ -6,6 +6,7 @@
 
 #include "src/sim/clock.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/ssd_model.h"
 
 namespace fsbench {
 namespace {
@@ -16,8 +17,7 @@ struct SchedulerFixture {
   DiskModel disk;
   IoScheduler scheduler;
 
-  explicit SchedulerFixture(SchedulerKind kind = SchedulerKind::kElevator)
-      : disk(params, 1), scheduler(&disk, kind) {}
+  SchedulerFixture() : disk(params, 1), scheduler(&disk) {}
 
   std::optional<Nanos> Sync(uint64_t lba, uint32_t sectors = 8) {
     return scheduler.SubmitSync({IoKind::kRead, lba, sectors}, clock.now());
@@ -26,6 +26,14 @@ struct SchedulerFixture {
     scheduler.SubmitAsync({kind, lba, sectors}, clock.now());
   }
   Nanos Drain() { return scheduler.Drain(clock.now()); }
+};
+
+// Records the LBA of every request in the order the scheduler settles its
+// outcome, which is its dispatch order (async services and sync submissions
+// alike).
+struct DispatchRecorder : public IoCompletionObserver {
+  std::vector<uint64_t> lbas;
+  void OnIoComplete(const IoRequest& req, Nanos, bool) override { lbas.push_back(req.lba); }
 };
 
 TEST(IoSchedulerTest, SyncCompletionIsInTheFuture) {
@@ -105,17 +113,18 @@ TEST(IoSchedulerTest, DrainIsIdempotentUnderInterleavedSubmissions) {
 
 TEST(IoSchedulerTest, ElevatorServicesPendingInLbaOrder) {
   // Descending submissions; the elevator should reorder ascending, which
-  // yields strictly less total seek time than FIFO on the same pattern.
-  SchedulerFixture elevator(SchedulerKind::kElevator);
-  SchedulerFixture fifo(SchedulerKind::kFifo);
+  // yields strictly less total seek time than FIFO on the same pattern. The
+  // FIFO baseline issues the same LBAs as sync requests, which are served
+  // on arrival.
+  SchedulerFixture elevator;
+  SchedulerFixture fifo;
   const std::vector<uint64_t> lbas{400'000'000, 100'000'000, 300'000'000, 200'000'000,
                                    350'000'000};
   for (uint64_t lba : lbas) {
     elevator.Async(lba);
-    fifo.Async(lba);
+    ASSERT_TRUE(fifo.Sync(lba).has_value());
   }
   elevator.Drain();
-  fifo.Drain();
   EXPECT_LT(elevator.disk.stats().total_seek_time, fifo.disk.stats().total_seek_time);
 }
 
@@ -124,8 +133,8 @@ TEST(IoSchedulerTest, ElevatorSweepsAscendingFromHeadThenWraps) {
   // middle LBA, queued requests ahead of the head are serviced in ascending
   // order first, then the sweep wraps to the lowest queued LBA.
   SchedulerFixture f;
-  std::vector<uint64_t> log;
-  f.scheduler.set_dispatch_log(&log);
+  DispatchRecorder recorder;
+  f.scheduler.set_completion_observer(&recorder);
   ASSERT_TRUE(f.Sync(500'000).has_value());  // head now just past 500'000
   f.Async(100);
   f.Async(600'000);
@@ -134,19 +143,24 @@ TEST(IoSchedulerTest, ElevatorSweepsAscendingFromHeadThenWraps) {
   f.Async(200);
   f.Drain();
   const std::vector<uint64_t> expected{500'000, 600'000, 900'000, 100, 200, 300'000};
-  EXPECT_EQ(log, expected);
+  EXPECT_EQ(recorder.lbas, expected);
 }
 
 TEST(IoSchedulerTest, FifoServicesInSubmissionOrder) {
-  SchedulerFixture f(SchedulerKind::kFifo);
-  std::vector<uint64_t> log;
-  f.scheduler.set_dispatch_log(&log);
-  f.Async(900'000);
-  f.Async(100);
-  f.Async(500'000);
-  f.Drain();
+  // The device kind picks the order, not the channel count: flash has no
+  // head to spare a seek, so even a one-channel SSD keeps submission order.
+  SsdParams params;
+  params.channels = 1;
+  SsdModel ssd(params);
+  IoScheduler scheduler(&ssd);
+  DispatchRecorder recorder;
+  scheduler.set_completion_observer(&recorder);
   const std::vector<uint64_t> expected{900'000, 100, 500'000};
-  EXPECT_EQ(log, expected);
+  for (uint64_t lba : expected) {
+    scheduler.SubmitAsync({IoKind::kRead, lba, 8}, /*now=*/0);
+  }
+  scheduler.Drain(/*now=*/0);
+  EXPECT_EQ(recorder.lbas, expected);
 }
 
 TEST(IoSchedulerTest, AsyncServiceNeverStartsBeforeSubmission) {

@@ -47,6 +47,11 @@ constexpr Bytes kDevice = 2 * kGiB;
 
 // --- the pre-refactor pipeline, retained as an oracle -----------------------
 
+// The pipeline's writeback pass size and demand-read cap (its dirty limit is
+// a tenth of the cache).
+constexpr size_t kWritebackBatchPages = 256;
+constexpr uint32_t kMaxDemandBatch = 32;
+
 class ReferenceVfs {
  public:
   ReferenceVfs(VirtualClock* clock, IoScheduler* scheduler, FileSystem* fs,
@@ -57,8 +62,7 @@ class ReferenceVfs {
         config_(config),
         cache_(config.cache_capacity_pages, config.eviction),
         readahead_(config.readahead_override.value_or(fs->readahead_config())) {
-    dirty_limit_ = config_.dirty_limit_pages != 0 ? config_.dirty_limit_pages
-                                                  : std::max<size_t>(1, cache_.capacity() / 10);
+    dirty_limit_ = std::max<size_t>(1, cache_.capacity() / 10);
   }
 
   FsResult<int> Open(const std::string& path, bool create = false) {
@@ -152,7 +156,7 @@ class ReferenceVfs {
         continue;
       }
       uint32_t batch = 1;
-      while (batch < config_.max_demand_batch && page + batch <= last_page) {
+      while (batch < kMaxDemandBatch && page + batch <= last_page) {
         const PageKey next_key{file->ino, page + batch};
         if (cache_.Contains(next_key)) {
           break;
@@ -621,7 +625,7 @@ class ReferenceVfs {
       return;
     }
     std::vector<PageCache::Evicted> batch;
-    cache_.TakeDirty(config_.writeback_batch_pages, &batch);
+    cache_.TakeDirty(kWritebackBatchPages, &batch);
     SubmitWriteback(batch);
   }
 
