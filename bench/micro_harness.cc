@@ -9,12 +9,14 @@
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "src/core/histogram.h"
 #include "src/core/metrics.h"
 #include "src/core/stats.h"
 #include "src/core/timeline.h"
 #include "src/sim/disk_model.h"
+#include "src/sim/flash_tier.h"
 #include "src/sim/io_scheduler.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_cache.h"
@@ -155,6 +157,29 @@ void BM_PageCacheTakeDirty(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PageCacheTakeDirty);
+
+void BM_FlashTierInsertPromote(benchmark::State& state) {
+  // A full default tier (1 GiB of 4 KiB pages). Each iteration makes the two
+  // tier operations of a randread_tiers RAM miss that hits flash: the page
+  // is promoted out of the tier, and the RAM victim is demoted into it. The
+  // promoted page is a random resident one, and the demoted page is new, so
+  // the tier stays full.
+  FlashTier tier(FlashTierConfig{});
+  std::vector<uint64_t> resident(tier.capacity_pages());
+  for (uint64_t i = 0; i < resident.size(); ++i) {
+    resident[i] = i;
+    tier.Insert(PageKey{1, i});
+  }
+  Rng rng(1);
+  uint64_t next = resident.size();
+  for (auto _ : state) {
+    uint64_t& page = resident[rng.NextBelow(resident.size())];
+    benchmark::DoNotOptimize(tier.LookupAndPromote(PageKey{1, page}));
+    page = next++;
+    tier.Insert(PageKey{1, page});
+  }
+}
+BENCHMARK(BM_FlashTierInsertPromote);
 
 void BM_Ext2NegativeLookup(benchmark::State& state) {
   // Stat of a missing name: ext2's full linear scan of a warm directory of

@@ -18,32 +18,6 @@ const char* EvictionPolicyKindName(EvictionPolicyKind kind) {
   return "?";
 }
 
-const char* CacheListIdName(CacheListId id) {
-  switch (id) {
-    case CacheListId::kNone:
-      return "free";
-    case CacheListId::kLruList:
-      return "lru";
-    case CacheListId::kClockRing:
-      return "clock";
-    case CacheListId::kA1in:
-      return "a1in";
-    case CacheListId::kAm:
-      return "am";
-    case CacheListId::kA1out:
-      return "a1out";
-    case CacheListId::kT1:
-      return "t1";
-    case CacheListId::kT2:
-      return "t2";
-    case CacheListId::kB1:
-      return "b1";
-    case CacheListId::kB2:
-      return "b2";
-  }
-  return "?";
-}
-
 PolicyGeometry PolicyGeometry::For(EvictionPolicyKind kind, size_t capacity_pages) {
   PolicyGeometry geometry;
   switch (kind) {

@@ -79,8 +79,6 @@ enum class CacheListId : uint8_t {
 
 inline constexpr size_t kNumCacheLists = 10;
 
-const char* CacheListIdName(CacheListId id);
-
 inline constexpr bool IsGhostList(CacheListId id) {
   return id == CacheListId::kA1out || id == CacheListId::kB1 || id == CacheListId::kB2;
 }

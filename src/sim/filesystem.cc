@@ -106,11 +106,6 @@ const Directory* FileSystem::FindDir(InodeId ino) const {
   return inode == nullptr ? nullptr : inode->dir.get();
 }
 
-Directory* FileSystem::MutableDir(InodeId ino) {
-  Inode* inode = MutableInode(ino);
-  return inode == nullptr ? nullptr : inode->dir.get();
-}
-
 FsResult<BlockId> FileSystem::MapPage(InodeId ino, uint64_t page_index, MetaIo* io) {
   const Inode* inode = FindInode(ino);
   if (inode == nullptr) {
@@ -126,8 +121,6 @@ FsResult<BlockId> FileSystem::AllocatePage(InodeId ino, uint64_t page_index, Met
   }
   return AllocatePageFor(*inode, page_index, io);
 }
-
-BlockId FileSystem::InodeTableBlock(const Inode& inode) const { return inode.itable_block; }
 
 uint64_t FileSystem::PickGroup(const Inode& parent, FileType type) {
   if (type == FileType::kDirectory) {

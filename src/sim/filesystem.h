@@ -263,11 +263,8 @@ class FileSystem {
   // --- Shared helpers for subclasses ---
 
   Inode* MutableInode(InodeId ino);
-  Directory* MutableDir(InodeId ino);
   Nanos Now() const;
 
-  // Inode-table block holding `ino` (meta read on any inode access).
-  BlockId InodeTableBlock(const Inode& inode) const;
   BlockId GroupStart(uint64_t group) const { return group * params_.group_blocks; }
   BlockId BlockBitmapBlock(uint64_t group) const { return GroupStart(group) + 1; }
   BlockId InodeBitmapBlock(uint64_t group) const { return GroupStart(group) + 2; }

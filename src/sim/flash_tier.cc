@@ -8,89 +8,21 @@ FlashTier::FlashTier(const FlashTierConfig& config)
     : config_(config),
       capacity_pages_(static_cast<size_t>(config.capacity / config.page_size)) {
   assert(capacity_pages_ > 0);
-  table_.Reserve(capacity_pages_);
-  keys_.reserve(capacity_pages_);
+  slab_.Reserve(capacity_pages_);
   links_.reserve(capacity_pages_);
-  hashes_.reserve(capacity_pages_);
-  slots_.reserve(capacity_pages_);
 }
 
-void FlashTier::TableEraseNode(uint32_t node) {
-  assert(table_.at(slots_[node]) == node);
-  table_.Erase(
-      slots_[node], [this](uint32_t n) { return hashes_[n]; },
-      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
-}
-
-void FlashTier::RehashForTest(size_t buckets) {
-  table_.Rehash(
-      buckets, [this](uint32_t n) { return hashes_[n]; },
-      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
-}
-
-uint32_t FlashTier::AllocNode(const PageKey& key, uint32_t hash) {
-  assert(key.ino != kInvalidInode);
-  uint32_t n;
-  if (free_head_ != kNil) {
-    n = free_head_;
-    free_head_ = links_[n].next;
-  } else {
-    assert(keys_.size() < capacity_pages_);
-    n = static_cast<uint32_t>(keys_.size());
-    keys_.emplace_back();
-    links_.emplace_back();
-    hashes_.push_back(0);
-    slots_.push_back(0);
-  }
-  keys_[n] = key;
-  hashes_[n] = hash;
-  links_[n] = Link{};
-  return n;
-}
-
-void FlashTier::ReleaseNode(uint32_t n) {
-  keys_[n].ino = kInvalidInode;  // frees the node for RemoveFile's slab scan
-  links_[n].next = free_head_;
-  free_head_ = n;
-}
-
-void FlashTier::LruPushFront(uint32_t n) {
-  Link& link = links_[n];
-  link.prev = kNil;
-  link.next = lru_head_;
-  if (lru_head_ != kNil) {
-    links_[lru_head_].prev = n;
-  } else {
-    lru_tail_ = n;
-  }
-  lru_head_ = n;
-}
-
-void FlashTier::LruUnlink(uint32_t n) {
-  Link& link = links_[n];
-  if (link.prev != kNil) {
-    links_[link.prev].next = link.next;
-  } else {
-    lru_head_ = link.next;
-  }
-  if (link.next != kNil) {
-    links_[link.next].prev = link.prev;
-  } else {
-    lru_tail_ = link.prev;
-  }
-  link.prev = link.next = kNil;
-}
+void FlashTier::RehashForTest(size_t buckets) { slab_.Rehash(buckets); }
 
 void FlashTier::EraseNode(uint32_t n) {
-  LruUnlink(n);
-  TableEraseNode(n);
-  ReleaseNode(n);
-  --size_;
+  lru_.Unlink(links_, n);
+  slab_.Erase(n);
+  slab_.Free(n);  // marks the key freed for RemoveFile's slab scan
 }
 
 bool FlashTier::LookupAndPromote(const PageKey& key) {
-  const uint32_t n = FindNode(key);
-  if (n == kNil) {
+  const uint32_t n = slab_.Find(key);
+  if (n == PageSlab::kNil) {
     ++stats_.misses;
     return false;
   }
@@ -100,33 +32,33 @@ bool FlashTier::LookupAndPromote(const PageKey& key) {
 }
 
 void FlashTier::Insert(const PageKey& key) {
-  const uint32_t hash = HashOf(key);
-  const size_t slot = ProbeSlot(key, hash);
-  const uint32_t existing = table_.at(slot);
-  if (existing != kNil) {
-    // Refresh.
-    if (lru_head_ != existing) {
-      LruUnlink(existing);
-      LruPushFront(existing);
-    }
+  assert(key.ino != kInvalidInode);
+  const uint32_t hash = PageSlab::Hash(key);
+  const uint32_t existing = slab_.at(slab_.Probe(key, hash));
+  if (existing != PageSlab::kNil) {
+    lru_.MoveToFront(links_, existing);  // refresh
     return;
   }
-  while (size_ >= capacity_pages_) {
-    EraseNode(lru_tail_);
+  while (lru_.size() >= capacity_pages_) {
+    EraseNode(lru_.tail());
     ++stats_.evictions;
   }
+  const uint32_t n = slab_.Alloc(key, hash);
+  if (n == links_.size()) {
+    assert(n < capacity_pages_);
+    links_.emplace_back();
+  }
   // The eviction may have backward-shifted the probe run: re-probe rather
-  // than trust `slot` (same re-probe-after-mutation rule as the page cache).
-  const uint32_t n = AllocNode(key, hash);
-  TableInsertAt(ProbeSlot(key, hash), n);
-  LruPushFront(n);
-  ++size_;
+  // than trust the first probe (same re-probe-after-mutation rule as the
+  // page cache).
+  slab_.Insert(slab_.Probe(key, hash), n);
+  lru_.PushFront(links_, n);
   ++stats_.insertions;
 }
 
 void FlashTier::Remove(const PageKey& key) {
-  const uint32_t n = FindNode(key);
-  if (n == kNil) {
+  const uint32_t n = slab_.Find(key);
+  if (n == PageSlab::kNil) {
     return;
   }
   EraseNode(n);
@@ -138,22 +70,17 @@ void FlashTier::RemoveFile(InodeId ino) {
   // pure function of the op sequence, never of the hash seed. O(slab) per
   // call is fine — unlink is rare next to lookups, and the slab is bounded
   // by the tier's capacity.
-  for (uint32_t n = 0; n < keys_.size(); ++n) {
-    if (keys_[n].ino == ino) {
+  for (uint32_t n = 0; n < slab_.node_count(); ++n) {
+    if (slab_.key(n).ino == ino) {
       EraseNode(n);
     }
   }
 }
 
 void FlashTier::Clear() {
-  table_.Clear();
-  keys_.clear();
+  slab_.Clear();
   links_.clear();
-  hashes_.clear();
-  slots_.clear();
-  free_head_ = kNil;
-  lru_head_ = lru_tail_ = kNil;
-  size_ = 0;
+  lru_ = IndexList{};
 }
 
 }  // namespace fsbench

@@ -12,22 +12,19 @@
 // It holds clean copies, so it needs no backing block: a promoted page's
 // block comes from the file system's mapping.
 //
-// Layout mirrors src/sim/page_cache.h's slab scheme, scaled down to a single
-// LRU list: one FlatIndex (src/sim/flat_index.h) maps PageKey -> node index
-// into parallel arrays
+// Layout: the page cache's slab scheme, scaled down to one LRU list. A
+// PageSlab (src/sim/page_slab.h) maps PageKey -> node id and holds each
+// node's key, cached hash and table slot; the tier adds one array:
 //
-//   keys_[n]    identity, compared while probing (ino == kInvalidInode when
-//               the node is on the free list — PageKey{0, ...} is never a
-//               legal tier key, pages of real files have ino >= 1)
-//   links_[n]   intrusive LRU list prev/next (free list reuses .next)
-//   hashes_[n]  cached key hash (backward-shift homes)
-//   slots_[n]   current table slot (probe-free erase)
+//   slab_       PageKey ──hash──> node id n, plus keys, hashes, slots
+//   links_[n]   IndexList links of the LRU list
 //
-// so steady-state operation never allocates: the slab is bounded by the
-// capacity (the tier never holds more than capacity_pages_ entries) and the
-// table is sized for it up front. RemoveFile scans the slab in node-index
-// order — an iteration order fixed by allocation history, not by the hash
-// seed — which is what made the old collect-under-hash-order walk obsolete.
+// A freed node's key has ino == kInvalidInode, never a legal tier key (pages
+// of real files have ino >= 1). Steady-state operation never allocates: the
+// slab is bounded by the capacity (the tier never holds more than
+// capacity_pages_ entries) and the table is sized for it up front.
+// RemoveFile scans the slab in node-id order, which allocation history
+// fixes, not the hash seed.
 #ifndef SRC_SIM_FLASH_TIER_H_
 #define SRC_SIM_FLASH_TIER_H_
 
@@ -35,7 +32,7 @@
 #include <vector>
 
 #include "src/sim/eviction_policy.h"
-#include "src/sim/flat_index.h"
+#include "src/sim/page_slab.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -76,64 +73,24 @@ class FlashTier {
   // sequence.
   void RehashForTest(size_t buckets);
 
-  size_t size() const { return size_; }
+  size_t size() const { return lru_.size(); }
   size_t capacity_pages() const { return capacity_pages_; }
   const FlashTierConfig& config() const { return config_; }
   const FlashTierStats& stats() const { return stats_; }
-  bool Contains(const PageKey& key) const { return FindNode(key) != kNil; }
+  bool Contains(const PageKey& key) const { return slab_.Find(key) != PageSlab::kNil; }
 
  private:
-  static constexpr uint32_t kNil = FlatIndex::kEmpty;
-
-  struct Link {
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
-  };
-
-  static uint32_t HashOf(const PageKey& key) {
-    return static_cast<uint32_t>(PageKeyHash{}(key));
-  }
-
-  // Key's slot, or the first empty slot of its probe run.
-  size_t ProbeSlot(const PageKey& key, uint32_t hash) const {
-    return table_.Probe(hash, [this, &key](uint32_t n) { return keys_[n] == key; });
-  }
-  uint32_t FindNode(const PageKey& key) const {
-    return table_.at(ProbeSlot(key, HashOf(key)));
-  }
-
-  void TableInsertAt(size_t slot, uint32_t node) {
-    slots_[node] = static_cast<uint32_t>(table_.Insert(
-        slot, node, hashes_[node], [this](uint32_t n) { return hashes_[n]; },
-        [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); }));
-  }
-  void TableEraseNode(uint32_t node);  // probe-free: starts from slots_[node]
-
-  uint32_t AllocNode(const PageKey& key, uint32_t hash);
-  void ReleaseNode(uint32_t n);
-
-  void LruPushFront(uint32_t n);
-  void LruUnlink(uint32_t n);
-
   // Full removal of a live node: LRU unlink + table erase + slab release.
   void EraseNode(uint32_t n);
 
   FlashTierConfig config_;
   size_t capacity_pages_;
 
-  // Slab: parallel arrays indexed by node id (see the layout comment atop
-  // this header); grows once up to capacity_pages_ nodes, then recycles.
-  std::vector<PageKey> keys_;
-  std::vector<Link> links_;
-  std::vector<uint32_t> hashes_;
-  std::vector<uint32_t> slots_;
-  uint32_t free_head_ = kNil;  // free list threaded through links_[].next
-
-  FlatIndex table_;
-
-  uint32_t lru_head_ = kNil;  // MRU end
-  uint32_t lru_tail_ = kNil;  // LRU end
-  size_t size_ = 0;
+  // Grows once up to capacity_pages_ nodes, then recycles (see the layout
+  // comment atop this header).
+  PageSlab slab_;
+  std::vector<IndexLink> links_;
+  IndexList lru_;
 
   FlashTierStats stats_;
 };

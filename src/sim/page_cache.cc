@@ -11,104 +11,51 @@ PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
       geometry_(PolicyGeometry::For(policy_kind, capacity_pages)) {
   assert(capacity_ > 0);
   const size_t max_nodes = geometry_.max_live_nodes;
-  keys_.reserve(max_nodes);
+  // Sized for the worst-case live-node count, so the table never rehashes.
+  slab_.Reserve(max_nodes);
   list_meta_.reserve(max_nodes);
   links_.reserve(max_nodes);
   ino_links_.reserve(max_nodes);
   dirty_links_.reserve(max_nodes);
   blocks_.reserve(max_nodes);
-  hashes_.reserve(max_nodes);
-  slots_.reserve(max_nodes);
-  // Sized for the worst-case live-node count, so the table never rehashes.
-  table_.Reserve(max_nodes);
-}
-
-// --- hash table -------------------------------------------------------------
-
-void PageCache::TableEraseNode(uint32_t node) {
-  assert(table_.at(slots_[node]) == node);
-  ++table_erase_count_;
-  last_erase_hole_ = table_.Erase(
-      slots_[node], [this](uint32_t n) { return hashes_[n]; },
-      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); });
 }
 
 // --- slab -------------------------------------------------------------------
 
-uint32_t PageCache::AllocNode(const PageKey& key, uint32_t hash) {
-  uint32_t n;
-  if (free_head_ != kNil) {
-    n = free_head_;
-    free_head_ = links_[n].next;
-  } else {
-    assert(slab_size_ < geometry_.max_live_nodes);
-    n = static_cast<uint32_t>(slab_size_++);
-    keys_.emplace_back();
+uint32_t PageCache::NewNode(const PageKey& key, uint32_t hash) {
+  const uint32_t n = slab_.Alloc(key, hash);
+  if (n == list_meta_.size()) {
+    assert(n < geometry_.max_live_nodes);
     list_meta_.push_back(0);
     links_.emplace_back();
     ino_links_.emplace_back();
     dirty_links_.emplace_back();
     blocks_.push_back(kInvalidBlock);
-    hashes_.push_back(0);
-    slots_.push_back(0);
   }
-  keys_[n] = key;
-  hashes_[n] = hash;
-  list_meta_[n] = 0;
-  blocks_[n] = kInvalidBlock;
-  links_[n] = Link{};
-  ino_links_[n] = Link{};
-  dirty_links_[n] = Link{};
   ++live_count_;
   return n;
 }
 
-void PageCache::ReleaseNode(uint32_t n) {
+void PageCache::DropNode(uint32_t n) {
+  ++table_erase_count_;
+  last_erase_hole_ = slab_.Erase(n);
+  slab_.Free(n);
+  // Clean and off every list; Insert sets the block and every link of the
+  // node when NewNode hands it out again.
   list_meta_[n] = static_cast<uint8_t>(CacheListId::kNone);
-  links_[n].next = free_head_;
-  free_head_ = n;
   --live_count_;
-}
-
-// --- intrusive policy lists -------------------------------------------------
-
-void PageCache::ListLinkBefore(CacheListId id, uint32_t pos, uint32_t n) {
-  ListAnchor& anchor = AnchorOf(id);
-  SetList(n, id);
-  Link& link = links_[n];
-  if (pos == kNil) {  // insert at the back
-    link.prev = anchor.tail;
-    link.next = kNil;
-    if (anchor.tail != kNil) {
-      links_[anchor.tail].next = n;
-    } else {
-      anchor.head = n;
-    }
-    anchor.tail = n;
-  } else {
-    Link& at = links_[pos];
-    link.prev = at.prev;
-    link.next = pos;
-    if (at.prev != kNil) {
-      links_[at.prev].next = n;
-    } else {
-      anchor.head = n;
-    }
-    at.prev = n;
-  }
-  ++anchor.size;
 }
 
 // --- per-inode chain --------------------------------------------------------
 
 void PageCache::InodeChainLink(uint32_t n) {
-  const InodeId ino = keys_[n].ino;
+  const InodeId ino = slab_.key(n).ino;
   const size_t slot = InodeProbe(ino);
   const uint32_t head = inode_index_.at(slot);
   if (head == kNil) {
     inode_index_.Insert(slot, n, HashInode(ino),
-                        [this](uint32_t h) { return HashInode(keys_[h].ino); });
-    ino_links_[n] = Link{};
+                        [this](uint32_t h) { return HashInode(slab_.key(h).ino); });
+    ino_links_[n] = IndexLink{};
     return;
   }
   ino_links_[n].prev = kNil;
@@ -118,11 +65,11 @@ void PageCache::InodeChainLink(uint32_t n) {
 }
 
 void PageCache::InodeChainUnlink(uint32_t n) {
-  Link& link = ino_links_[n];
+  IndexLink& link = ino_links_[n];
   if (link.prev != kNil) {
     ino_links_[link.prev].next = link.next;
   } else {
-    const size_t slot = InodeProbe(keys_[n].ino);
+    const size_t slot = InodeProbe(slab_.key(n).ino);
     if (link.next == kNil) {
       InodeIndexErase(slot);
     } else {
@@ -136,26 +83,7 @@ void PageCache::InodeChainUnlink(uint32_t n) {
 }
 
 void PageCache::InodeIndexErase(size_t slot) {
-  inode_index_.Erase(slot, [this](uint32_t head) { return HashInode(keys_[head].ino); });
-}
-
-// --- dirty FIFO -------------------------------------------------------------
-
-void PageCache::DirtyChainUnlink(uint32_t n) {
-  list_meta_[n] = static_cast<uint8_t>(list_meta_[n] & ~kDirtyBit);
-  Link& link = dirty_links_[n];
-  if (link.prev != kNil) {
-    dirty_links_[link.prev].next = link.next;
-  } else {
-    dirty_head_ = link.next;
-  }
-  if (link.next != kNil) {
-    dirty_links_[link.next].prev = link.prev;
-  } else {
-    dirty_tail_ = link.prev;
-  }
-  link.prev = link.next = kNil;
-  --dirty_count_;
+  inode_index_.Erase(slot, [this](uint32_t head) { return HashInode(slab_.key(head).ino); });
 }
 
 // --- policy transitions -----------------------------------------------------
@@ -170,17 +98,17 @@ bool PageCache::PolicyPrepareNewInsert() {
   }
   // Brand new key: trim ghost lists per the ARC paper's cases. Returns
   // whether a ghost was freed (i.e. the hash table was mutated).
-  const ListAnchor& t1 = AnchorOf(CacheListId::kT1);
-  const ListAnchor& b1 = AnchorOf(CacheListId::kB1);
-  const ListAnchor& b2 = AnchorOf(CacheListId::kB2);
-  if (t1.size + b1.size >= geometry_.arc_c) {
-    if (b1.size > 0) {
-      FreeGhostNode(b1.tail);
+  const IndexList& t1 = AnchorOf(CacheListId::kT1);
+  const IndexList& b1 = AnchorOf(CacheListId::kB1);
+  const IndexList& b2 = AnchorOf(CacheListId::kB2);
+  if (t1.size() + b1.size() >= geometry_.arc_c) {
+    if (b1.size() > 0) {
+      FreeGhostNode(b1.tail());
       return true;
     }
   } else if (live_count_ >= 2 * geometry_.arc_c) {
-    if (b2.size > 0) {
-      FreeGhostNode(b2.tail);
+    if (b2.size() > 0) {
+      FreeGhostNode(b2.tail());
       return true;
     }
   }
@@ -195,8 +123,9 @@ void PageCache::PolicyInsertNew(uint32_t n) {
     case EvictionPolicyKind::kClock:
       // Insert just behind the hand, i.e. at the position visited last
       // (clock_hand_ == kNil means the "end" position: insert at the back).
-      ListLinkBefore(CacheListId::kClockRing, clock_hand_, n);
-      if (AnchorOf(CacheListId::kClockRing).size == 1) {
+      SetList(n, CacheListId::kClockRing);
+      AnchorOf(CacheListId::kClockRing).InsertBefore(links_, clock_hand_, n);
+      if (AnchorOf(CacheListId::kClockRing).size() == 1) {
         clock_hand_ = n;
       }
       break;
@@ -217,8 +146,8 @@ void PageCache::PolicyGhostRevive(uint32_t n) {
     return;
   }
   // ARC: a ghost hit adapts the T1 target p toward the list that hit.
-  const double b1_size = static_cast<double>(AnchorOf(CacheListId::kB1).size);
-  const double b2_size = static_cast<double>(AnchorOf(CacheListId::kB2).size);
+  const double b1_size = static_cast<double>(AnchorOf(CacheListId::kB1).size());
+  const double b2_size = static_cast<double>(AnchorOf(CacheListId::kB2).size());
   const double c = static_cast<double>(geometry_.arc_c);
   if (ListOf(n) == CacheListId::kB1) {
     const double delta = b1_size >= b2_size ? 1.0 : b2_size / b1_size;
@@ -237,26 +166,26 @@ void PageCache::PolicyGhostRevive(uint32_t n) {
 inline uint32_t PageCache::PeekVictim() const {
   switch (kind_) {
     case EvictionPolicyKind::kLru:
-      return AnchorOf(CacheListId::kLruList).tail;
+      return AnchorOf(CacheListId::kLruList).tail();
     case EvictionPolicyKind::kClock:
-      return clock_hand_ != kNil ? clock_hand_ : AnchorOf(CacheListId::kClockRing).head;
+      return clock_hand_ != kNil ? clock_hand_ : AnchorOf(CacheListId::kClockRing).head();
     case EvictionPolicyKind::kTwoQueue: {
-      const ListAnchor& a1in = AnchorOf(CacheListId::kA1in);
-      if (a1in.size > geometry_.kin || AnchorOf(CacheListId::kAm).size == 0) {
-        return a1in.tail;
+      const IndexList& a1in = AnchorOf(CacheListId::kA1in);
+      if (a1in.size() > geometry_.kin || AnchorOf(CacheListId::kAm).size() == 0) {
+        return a1in.tail();
       }
-      return AnchorOf(CacheListId::kAm).tail;
+      return AnchorOf(CacheListId::kAm).tail();
     }
     case EvictionPolicyKind::kArc: {
       // REPLACE from the ARC paper: evict from T1 if it exceeds target p.
-      const ListAnchor& t1 = AnchorOf(CacheListId::kT1);
-      const ListAnchor& t2 = AnchorOf(CacheListId::kT2);
+      const IndexList& t1 = AnchorOf(CacheListId::kT1);
+      const IndexList& t2 = AnchorOf(CacheListId::kT2);
       const bool from_t1 =
-          t1.size > 0 && (static_cast<double>(t1.size) > arc_p_ || t2.size == 0);
+          t1.size() > 0 && (static_cast<double>(t1.size()) > arc_p_ || t2.size() == 0);
       if (from_t1) {
-        return t1.tail;
+        return t1.tail();
       }
-      return t2.tail;
+      return t2.tail();
     }
   }
   return kNil;
@@ -270,7 +199,7 @@ uint32_t PageCache::PolicyChooseVictim() {
     while ((list_meta_[victim] & kReferencedBit) != 0) {
       list_meta_[victim] = static_cast<uint8_t>(list_meta_[victim] & ~kReferencedBit);
       victim = links_[victim].next != kNil ? links_[victim].next
-                                           : AnchorOf(CacheListId::kClockRing).head;
+                                           : AnchorOf(CacheListId::kClockRing).head();
     }
     clock_hand_ = links_[victim].next;
   }
@@ -283,20 +212,18 @@ void PageCache::PolicyDemoteVictim(uint32_t n) {
   switch (kind_) {
     case EvictionPolicyKind::kLru:
     case EvictionPolicyKind::kClock:
-      TableEraseNode(n);
-      ReleaseNode(n);
+      DropNode(n);
       return;
     case EvictionPolicyKind::kTwoQueue:
       if (from == CacheListId::kA1in) {
         // A1in victims leave a ghost in A1out, bounded by kout.
         blocks_[n] = kInvalidBlock;
         ListPushFront(CacheListId::kA1out, n);
-        while (AnchorOf(CacheListId::kA1out).size > geometry_.kout) {
-          FreeGhostNode(AnchorOf(CacheListId::kA1out).tail);
+        while (AnchorOf(CacheListId::kA1out).size() > geometry_.kout) {
+          FreeGhostNode(AnchorOf(CacheListId::kA1out).tail());
         }
       } else {
-        TableEraseNode(n);
-        ReleaseNode(n);
+        DropNode(n);
       }
       return;
     case EvictionPolicyKind::kArc:
@@ -309,8 +236,7 @@ void PageCache::PolicyDemoteVictim(uint32_t n) {
 void PageCache::FreeGhostNode(uint32_t n) {
   assert(IsGhostList(ListOf(n)));
   ListUnlink(n);
-  TableEraseNode(n);
-  ReleaseNode(n);
+  DropNode(n);
 }
 
 // --- public operations ------------------------------------------------------
@@ -320,7 +246,7 @@ void PageCache::EvictOne(EvictedBatch* evicted) {
   const bool dirty = IsDirty(victim);
   if (evicted != nullptr) {
     assert(evicted->count_ < EvictedBatch::kInlineCapacity);
-    evicted->items_[evicted->count_++] = Evicted{keys_[victim], blocks_[victim], dirty};
+    evicted->items_[evicted->count_++] = Evicted{slab_.key(victim), blocks_[victim], dirty};
   }
   if (dirty) {
     DirtyChainUnlink(victim);
@@ -341,21 +267,20 @@ void PageCache::PrefetchVictimHint() const {
   if (hint == kNil) {
     return;
   }
-  __builtin_prefetch(&keys_[hint]);
+  slab_.Prefetch(hint);
   __builtin_prefetch(&blocks_[hint]);
-  __builtin_prefetch(&slots_[hint]);
   __builtin_prefetch(&list_meta_[hint]);
   // Eviction unsplices the victim from its policy list and inode chain; pull
   // the neighbour links forward as well so the second level of the pointer
   // chase also overlaps the probe.
-  const Link link = links_[hint];
+  const IndexLink link = links_[hint];
   if (link.prev != kNil) {
     __builtin_prefetch(&links_[link.prev]);
   }
   if (link.next != kNil) {
     __builtin_prefetch(&links_[link.next]);
   }
-  const Link ino_link = ino_links_[hint];
+  const IndexLink ino_link = ino_links_[hint];
   if (ino_link.prev != kNil) {
     __builtin_prefetch(&ino_links_[ino_link.prev]);
   }
@@ -373,9 +298,9 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   if (resident_count_ >= capacity_) {
     PrefetchVictimHint();
   }
-  const uint32_t hash = HashOf(key);
-  size_t slot = ProbeSlot(key, hash);
-  uint32_t n = table_.at(slot);
+  const uint32_t hash = PageSlab::Hash(key);
+  size_t slot = slab_.Probe(key, hash);
+  uint32_t n = slab_.at(slot);
   if (n != kNil && IsResidentNode(n)) {
     // Refresh: update block, possibly dirty, touch recency.
     if (dirty && !IsDirty(n)) {
@@ -402,10 +327,10 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     const bool run_intact =
         erase_delta == 0 ||
         (erase_delta == 1 && n == kNil &&
-         table_.Distance(hash, last_erase_hole_) > table_.Distance(hash, slot));
+         slab_.Distance(hash, last_erase_hole_) > slab_.Distance(hash, slot));
     if (!run_intact) {
-      slot = ProbeSlot(key, hash);
-      n = table_.at(slot);
+      slot = slab_.Probe(key, hash);
+      n = slab_.at(slot);
     }
   }
 
@@ -416,11 +341,11 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     if (PolicyPrepareNewInsert()) {
       // An ARC ghost trim rearranged the table; the empty slot found above
       // may no longer terminate the key's probe run.
-      slot = ProbeSlot(key, hash);
+      slot = slab_.Probe(key, hash);
     }
-    n = AllocNode(key, hash);
+    n = NewNode(key, hash);
     blocks_[n] = block;
-    TableInsertAt(slot, n);
+    slab_.Insert(slot, n);
     PolicyInsertNew(n);
   }
   InodeChainLink(n);
@@ -444,7 +369,7 @@ bool PageCache::LookupRun(std::span<const PageKey> keys, uint32_t chain) {
   run_nodes_.clear();
   for (uint32_t k = 0; k <= last; ++k) {
     const uint32_t i = k == last ? last : (k + chain < last ? k + chain : k + chain - last);
-    const uint32_t n = FindNode(keys[i]);
+    const uint32_t n = slab_.Find(keys[i]);
     if (n == kNil || !IsResidentNode(n)) {
       return false;
     }
@@ -463,7 +388,7 @@ size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
   // device ordering sort by block, as the VFS writeback path does.
   for (uint32_t n = inode_index_.at(InodeProbe(ino)); n != kNil; n = ino_links_[n].next) {
     if (IsDirty(n)) {
-      out->push_back(Evicted{keys_[n], blocks_[n], true});
+      out->push_back(Evicted{slab_.key(n), blocks_[n], true});
       DirtyChainUnlink(n);
     }
   }
@@ -471,20 +396,20 @@ size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
 }
 
 bool PageCache::TakeDirtyPage(const PageKey& key, std::vector<Evicted>* out) {
-  const uint32_t n = FindNode(key);
+  const uint32_t n = slab_.Find(key);
   if (n == kNil || !IsResidentNode(n) || !IsDirty(n)) {
     return false;
   }
-  out->push_back(Evicted{keys_[n], blocks_[n], true});
+  out->push_back(Evicted{slab_.key(n), blocks_[n], true});
   DirtyChainUnlink(n);
   return true;
 }
 
 size_t PageCache::TakeDirty(size_t max_pages, std::vector<Evicted>* out) {
   out->clear();
-  while (dirty_head_ != kNil && out->size() < max_pages) {
-    const uint32_t n = dirty_head_;
-    out->push_back(Evicted{keys_[n], blocks_[n], true});
+  while (dirty_.head() != kNil && out->size() < max_pages) {
+    const uint32_t n = dirty_.head();
+    out->push_back(Evicted{slab_.key(n), blocks_[n], true});
     DirtyChainUnlink(n);
   }
   return out->size();
@@ -501,13 +426,12 @@ void PageCache::RemoveResidentNode(uint32_t n, bool maintain_inode_chain) {
     clock_hand_ = links_[n].next;
   }
   ListUnlink(n);
-  TableEraseNode(n);
-  ReleaseNode(n);
+  DropNode(n);
   --resident_count_;
 }
 
 void PageCache::Remove(const PageKey& key) {
-  const uint32_t n = FindNode(key);
+  const uint32_t n = slab_.Find(key);
   if (n == kNil || !IsResidentNode(n)) {
     return;
   }
@@ -536,15 +460,13 @@ void PageCache::Clear() {
       CacheListId::kAm,      CacheListId::kT1,        CacheListId::kT2,
   };
   for (const CacheListId id : kResidentLists) {
-    while (AnchorOf(id).head != kNil) {
-      RemoveResidentNode(AnchorOf(id).head, /*maintain_inode_chain=*/false);
+    while (AnchorOf(id).head() != kNil) {
+      RemoveResidentNode(AnchorOf(id).head(), /*maintain_inode_chain=*/false);
     }
   }
   inode_index_.Clear();
   clock_hand_ = kNil;
-  dirty_head_ = dirty_tail_ = kNil;
-  dirty_count_ = 0;
-  assert(resident_count_ == 0);
+  assert(resident_count_ == 0 && dirty_.size() == 0);
 }
 
 // --- invariants -------------------------------------------------------------
@@ -564,10 +486,10 @@ bool PageCache::CheckInvariants(const char** why) const {
   size_t resident_seen = 0;
   size_t live_seen = 0;
   for (size_t id = 1; id < kNumCacheLists; ++id) {
-    const ListAnchor& anchor = lists_[id];
+    const IndexList& list = lists_[id];
     size_t walked = 0;
     uint32_t prev = kNil;
-    for (uint32_t n = anchor.head; n != kNil; n = links_[n].next) {
+    for (uint32_t n = list.head(); n != kNil; n = links_[n].next) {
       if (ListOf(n) != static_cast<CacheListId>(id) || links_[n].prev != prev) {
         *why = "list tag or back-link inconsistent";
         return false;
@@ -580,18 +502,14 @@ bool PageCache::CheckInvariants(const char** why) const {
       }
       // A node's table entry must resolve back to it in one probe run, and
       // its cached slot/hash must be current.
-      if (FindNode(keys_[n]) != n) {
-        *why = "table probe does not resolve to the node";
-        return false;
-      }
-      if (table_.at(slots_[n]) != n || hashes_[n] != HashOf(keys_[n])) {
-        *why = "node slot back-pointer or cached hash stale";
+      if (!slab_.CheckNode(n)) {
+        *why = "table probe, slot back-pointer or cached hash stale";
         return false;
       }
       prev = n;
       ++walked;
     }
-    if (walked != anchor.size || anchor.tail != prev) {
+    if (walked != list.size() || list.tail() != prev) {
       *why = "list size or tail mismatch";
       return false;
     }
@@ -607,7 +525,7 @@ bool PageCache::CheckInvariants(const char** why) const {
   // Dirty FIFO: length matches, members are resident and flagged.
   size_t dirty_seen = 0;
   uint32_t dirty_prev = kNil;
-  for (uint32_t n = dirty_head_; n != kNil; n = dirty_links_[n].next) {
+  for (uint32_t n = dirty_.head(); n != kNil; n = dirty_links_[n].next) {
     if (!IsDirty(n) || !IsResidentNode(n) || dirty_links_[n].prev != dirty_prev) {
       *why = "dirty chain member not resident-dirty or back-link broken";
       return false;
@@ -615,7 +533,7 @@ bool PageCache::CheckInvariants(const char** why) const {
     dirty_prev = n;
     ++dirty_seen;
   }
-  if (dirty_seen != dirty_count_ || dirty_tail_ != dirty_prev) {
+  if (dirty_seen != dirty_.size() || dirty_.tail() != dirty_prev) {
     *why = "dirty chain length or tail mismatch";
     return false;
   }
@@ -628,14 +546,14 @@ bool PageCache::CheckInvariants(const char** why) const {
     if (head == kNil) {
       continue;
     }
-    const InodeId ino = keys_[head].ino;
+    const InodeId ino = slab_.key(head).ino;
     if (inode_index_.at(InodeProbe(ino)) != head) {
       *why = "inode index probe does not resolve to the chain head";
       return false;
     }
     uint32_t ino_prev = kNil;
     for (uint32_t n = head; n != kNil; n = ino_links_[n].next) {
-      if (keys_[n].ino != ino || !IsResidentNode(n) || ino_links_[n].prev != ino_prev) {
+      if (slab_.key(n).ino != ino || !IsResidentNode(n) || ino_links_[n].prev != ino_prev) {
         *why = "inode chain member inconsistent";
         return false;
       }
@@ -647,13 +565,7 @@ bool PageCache::CheckInvariants(const char** why) const {
     *why = "inode chains do not cover the resident set";
     return false;
   }
-  // Table population matches the live-node count (a count: any slot order).
-  size_t table_entries = 0;
-  // detlint: order-insensitive
-  for (const uint32_t entry : table_) {
-    table_entries += entry != kNil ? 1 : 0;
-  }
-  if (table_entries != live_count_ || table_.size() != live_count_) {
+  if (!slab_.CheckPopulation(live_count_)) {
     *why = "table population does not match live count";
     return false;
   }

@@ -5,22 +5,18 @@
 // mapping lookup). Capacity is fixed in pages; the eviction policy (LRU,
 // CLOCK, 2Q, ARC) is selected at construction.
 //
-// Layout: one FlatIndex (src/sim/flat_index.h) maps PageKey -> node index
-// into a slab of parallel arrays ("structure of arrays": each access class
-// lives in its own dense array, so a hot path only pulls the cache lines it
-// needs):
+// Layout: a PageSlab (src/sim/page_slab.h) maps PageKey -> node id and
+// holds each node's key, cached hash and table slot. The cache keeps the
+// rest of a node in parallel arrays of its own, indexed by the same id
+// ("structure of arrays": each access class lives in its own dense array, so
+// a hot path only pulls the cache lines it needs):
 //
-//   table_ (FlatIndex: linear probe, backward-shift deletion)
-//     PageKey ──hash──> node index n ──┐
-//                                      v
-//   keys_[n]        identity, compared while probing
+//   slab_           PageKey ──hash──> node id n, plus keys, hashes, slots
 //   list_meta_[n]   packed {list id, dirty, referenced} byte
-//   links_[n]       prev/next of the policy list tagged by the list id
+//   links_[n]       IndexList links of the policy list tagged by the list id
 //   ino_links_[n]   per-inode chain (resident nodes)
-//   dirty_links_[n] dirty FIFO (resident dirty nodes)
+//   dirty_links_[n] IndexList links of the dirty FIFO (resident dirty nodes)
 //   blocks_[n]      backing device block
-//   hashes_[n]      cached key hash (backward-shift homes)
-//   slots_[n]       current table slot (probe-free erase)
 //
 // Ghost pages (2Q A1out, ARC B1/B2) live in the same table and slab, tagged
 // by their list id, so a single probe answers "resident? ghost? absent?".
@@ -45,6 +41,7 @@
 
 #include "src/sim/eviction_policy.h"
 #include "src/sim/flat_index.h"
+#include "src/sim/page_slab.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -145,7 +142,7 @@ class PageCache {
   // are keyed under kMetaInode and so invisible to TakeDirtyFile.
   bool TakeDirtyPage(const PageKey& key, std::vector<Evicted>* out);
 
-  size_t dirty_count() const { return dirty_count_; }
+  size_t dirty_count() const { return dirty_.size(); }
 
   // Invalidates one page / every page of a file / everything. Dirty contents
   // are discarded (callers invalidate after freeing blocks, as unlink does).
@@ -175,22 +172,11 @@ class PageCache {
  private:
   static constexpr uint32_t kNil = FlatIndex::kEmpty;
 
-  struct Link {
-    uint32_t prev = kNil;
-    uint32_t next = kNil;
-  };
-
   // Packed per-node state byte: low 4 bits CacheListId, bit 4 dirty,
   // bit 5 CLOCK referenced.
   static constexpr uint8_t kListMask = 0x0F;
   static constexpr uint8_t kDirtyBit = 0x10;
   static constexpr uint8_t kReferencedBit = 0x20;
-
-  struct ListAnchor {
-    uint32_t head = kNil;  // MRU end
-    uint32_t tail = kNil;  // LRU end
-    size_t size = 0;
-  };
 
   CacheListId ListOf(uint32_t n) const {
     return static_cast<CacheListId>(list_meta_[n] & kListMask);
@@ -202,43 +188,41 @@ class PageCache {
   bool IsDirty(uint32_t n) const { return (list_meta_[n] & kDirtyBit) != 0; }
   bool IsResidentNode(uint32_t n) const { return IsResidentList(ListOf(n)); }
 
-  // --- hash table (PageKey -> node index) ---
-  // Erasing goes by node, not key: the backward shift starts directly at
-  // slots_[n], takes each displaced node's home from hashes_[] without
-  // rehashing, and keeps slots_[] current as it moves nodes.
-  static uint32_t HashOf(const PageKey& key) {
-    return static_cast<uint32_t>(PageKeyHash{}(key));
-  }
-  size_t ProbeSlot(const PageKey& key, uint32_t hash) const;  // key slot or first empty
-  uint32_t FindNode(const PageKey& key) const;
-  void TableInsertAt(size_t slot, uint32_t node);
-  void TableEraseNode(uint32_t node);  // probe-free: starts from slots_[node]
-
   // --- slab ---
-  uint32_t AllocNode(const PageKey& key, uint32_t hash);
-  void ReleaseNode(uint32_t n);  // to the free list; no unlinking
+  uint32_t NewNode(const PageKey& key, uint32_t hash);
+  // Erases n from the table, counting the erase for Insert's re-probe, and
+  // frees it; no unlinking.
+  void DropNode(uint32_t n);
 
   // --- intrusive policy lists ---
-  ListAnchor& AnchorOf(CacheListId id) { return lists_[static_cast<size_t>(id)]; }
-  const ListAnchor& AnchorOf(CacheListId id) const { return lists_[static_cast<size_t>(id)]; }
-  void ListPushFront(CacheListId id, uint32_t n);
-  void ListLinkBefore(CacheListId id, uint32_t pos, uint32_t n);  // pos==kNil: back
-  void ListUnlink(uint32_t n);
-  void ListMoveToFront(uint32_t n);
+  IndexList& AnchorOf(CacheListId id) { return lists_[static_cast<size_t>(id)]; }
+  const IndexList& AnchorOf(CacheListId id) const { return lists_[static_cast<size_t>(id)]; }
+  void ListPushFront(CacheListId id, uint32_t n) {
+    SetList(n, id);
+    AnchorOf(id).PushFront(links_, n);
+  }
+  void ListUnlink(uint32_t n) { AnchorOf(ListOf(n)).Unlink(links_, n); }
+  void ListMoveToFront(uint32_t n) { AnchorOf(ListOf(n)).MoveToFront(links_, n); }
 
   // --- per-inode chain ---
   // inode_index_ holds each chain's head node; the head's key names the inode.
   size_t InodeProbe(InodeId ino) const {
     return inode_index_.Probe(HashInode(ino),
-                              [this, ino](uint32_t head) { return keys_[head].ino == ino; });
+                              [this, ino](uint32_t head) { return slab_.key(head).ino == ino; });
   }
   void InodeChainLink(uint32_t n);
   void InodeChainUnlink(uint32_t n);
   void InodeIndexErase(size_t slot);
 
   // --- dirty FIFO ---
-  void DirtyChainAppend(uint32_t n);
-  void DirtyChainUnlink(uint32_t n);
+  void DirtyChainAppend(uint32_t n) {
+    list_meta_[n] |= kDirtyBit;
+    dirty_.InsertBefore(dirty_links_, kNil, n);
+  }
+  void DirtyChainUnlink(uint32_t n) {
+    list_meta_[n] = static_cast<uint8_t>(list_meta_[n] & ~kDirtyBit);
+    dirty_.Unlink(dirty_links_, n);
+  }
 
   // --- policy transitions ---
   void PolicyResidentAccess(uint32_t n);  // OnAccess of a resident node
@@ -259,96 +243,35 @@ class PageCache {
   EvictionPolicyKind kind_;
   PolicyGeometry geometry_;
 
-  // Slab: parallel arrays indexed by node id (see the layout comment atop
-  // this header). All are pre-reserved to geometry_.max_live_nodes.
-  std::vector<PageKey> keys_;
+  // Per-node arrays indexed by slab id (see the layout comment atop this
+  // header). The slab and these are pre-reserved to
+  // geometry_.max_live_nodes.
+  PageSlab slab_;
   std::vector<uint8_t> list_meta_;
-  std::vector<Link> links_;
-  std::vector<Link> ino_links_;
-  std::vector<Link> dirty_links_;
+  std::vector<IndexLink> links_;
+  std::vector<IndexLink> ino_links_;
+  std::vector<IndexLink> dirty_links_;
   std::vector<BlockId> blocks_;
-  std::vector<uint32_t> hashes_;
-  std::vector<uint32_t> slots_;
-  size_t slab_size_ = 0;         // nodes ever allocated
-  uint32_t free_head_ = kNil;    // free list threaded through links_[].next
 
-  FlatIndex table_;
   size_t table_erase_count_ = 0;  // monotone; detects probe-run invalidation
   size_t last_erase_hole_ = 0;    // final hole of the latest backward shift
 
-  ListAnchor lists_[kNumCacheLists];
+  IndexList lists_[kNumCacheLists];
   uint32_t clock_hand_ = kNil;  // kNil doubles as the ring's "end" position
   double arc_p_ = 0.0;
 
   FlatIndex inode_index_;
 
-  uint32_t dirty_head_ = kNil;  // oldest first-dirtied page
-  uint32_t dirty_tail_ = kNil;
+  IndexList dirty_;  // head: oldest first-dirtied page
 
   size_t resident_count_ = 0;
   size_t live_count_ = 0;  // resident + ghost
-  size_t dirty_count_ = 0;
   PageCacheStats stats_;
 
   std::vector<uint32_t> run_nodes_;  // LookupRun's probed nodes, reused
 };
 
 // --- inline hot path --------------------------------------------------------
-
-inline size_t PageCache::ProbeSlot(const PageKey& key, uint32_t hash) const {
-  return table_.Probe(hash, [this, &key](uint32_t n) { return keys_[n] == key; });
-}
-
-inline uint32_t PageCache::FindNode(const PageKey& key) const {
-  return table_.at(ProbeSlot(key, HashOf(key)));
-}
-
-inline void PageCache::TableInsertAt(size_t slot, uint32_t node) {
-  slots_[node] = static_cast<uint32_t>(table_.Insert(
-      slot, node, hashes_[node], [this](uint32_t n) { return hashes_[n]; },
-      [this](uint32_t n, size_t moved_to) { slots_[n] = static_cast<uint32_t>(moved_to); }));
-}
-
-inline void PageCache::ListPushFront(CacheListId id, uint32_t n) {
-  ListAnchor& anchor = AnchorOf(id);
-  SetList(n, id);
-  Link& link = links_[n];
-  link.prev = kNil;
-  link.next = anchor.head;
-  if (anchor.head != kNil) {
-    links_[anchor.head].prev = n;
-  } else {
-    anchor.tail = n;
-  }
-  anchor.head = n;
-  ++anchor.size;
-}
-
-inline void PageCache::ListUnlink(uint32_t n) {
-  ListAnchor& anchor = AnchorOf(ListOf(n));
-  Link& link = links_[n];
-  if (link.prev != kNil) {
-    links_[link.prev].next = link.next;
-  } else {
-    anchor.head = link.next;
-  }
-  if (link.next != kNil) {
-    links_[link.next].prev = link.prev;
-  } else {
-    anchor.tail = link.prev;
-  }
-  --anchor.size;
-  link.prev = link.next = kNil;
-}
-
-inline void PageCache::ListMoveToFront(uint32_t n) {
-  const CacheListId id = ListOf(n);
-  if (AnchorOf(id).head == n) {
-    return;
-  }
-  ListUnlink(n);
-  ListPushFront(id, n);
-}
 
 inline void PageCache::PolicyResidentAccess(uint32_t n) {
   switch (kind_) {
@@ -377,12 +300,12 @@ inline void PageCache::PolicyResidentAccess(uint32_t n) {
 }
 
 inline bool PageCache::Contains(const PageKey& key) const {
-  const uint32_t n = FindNode(key);
+  const uint32_t n = slab_.Find(key);
   return n != kNil && IsResidentNode(n);
 }
 
 inline bool PageCache::Lookup(const PageKey& key) {
-  const uint32_t n = FindNode(key);
+  const uint32_t n = slab_.Find(key);
   if (n == kNil || !IsResidentNode(n)) {
     ++stats_.misses;
     return false;
@@ -392,22 +315,8 @@ inline bool PageCache::Lookup(const PageKey& key) {
   return true;
 }
 
-inline void PageCache::DirtyChainAppend(uint32_t n) {
-  list_meta_[n] |= kDirtyBit;
-  Link& link = dirty_links_[n];
-  link.prev = dirty_tail_;
-  link.next = kNil;
-  if (dirty_tail_ != kNil) {
-    dirty_links_[dirty_tail_].next = n;
-  } else {
-    dirty_head_ = n;
-  }
-  dirty_tail_ = n;
-  ++dirty_count_;
-}
-
 inline bool PageCache::MarkDirty(const PageKey& key) {
-  const uint32_t n = FindNode(key);
+  const uint32_t n = slab_.Find(key);
   if (n == kNil || !IsResidentNode(n)) {
     return false;
   }

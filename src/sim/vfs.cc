@@ -323,6 +323,9 @@ FsResult<int> Vfs::Open(std::string_view path, bool create) {
     if (meta != FsStatus::kOk) {
       return FsResult<int>::Error(meta);
     }
+    if (!ino.ok()) {
+      return FsResult<int>::Error(ino.status);
+    }
     ++stats_.creates;
     JournalTick();
   }

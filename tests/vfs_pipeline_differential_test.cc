@@ -78,6 +78,9 @@ class ReferenceVfs {
       if (meta != FsStatus::kOk) {
         return FsResult<int>::Error(meta);
       }
+      if (!ino.ok()) {
+        return FsResult<int>::Error(ino.status);
+      }
       ++stats_.creates;
       JournalTick();
     }

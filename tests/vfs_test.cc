@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/sim/disk_model.h"
 #include "src/sim/ext2fs.h"
@@ -22,11 +23,11 @@ struct VfsFixture {
   std::unique_ptr<FileSystem> fs;
   std::unique_ptr<Vfs> vfs;
 
-  explicit VfsFixture(FsKind kind = FsKind::kExt2, VfsConfig config = {})
+  explicit VfsFixture(FsKind kind = FsKind::kExt2, VfsConfig config = {}, Bytes device = kDevice)
       : disk(disk_params, 1), scheduler(&disk) {
     switch (kind) {
       case FsKind::kExt2:
-        fs = std::make_unique<Ext2Fs>(kDevice, FsLayoutParams{}, &clock);
+        fs = std::make_unique<Ext2Fs>(device, FsLayoutParams{}, &clock);
         break;
       case FsKind::kExt3: {
         auto ext3 = std::make_unique<Ext3Fs>(kDevice, FsLayoutParams{}, &clock);
@@ -431,6 +432,17 @@ TEST(VfsTest, StatsCountersTrackOperations) {
   EXPECT_EQ(f.vfs->stats().creates, 1u);
   EXPECT_EQ(f.vfs->stats().stats_calls, 1u);
   EXPECT_EQ(f.vfs->stats().unlinks, 1u);
+}
+
+TEST(VfsTest, OpenCreateThatFailsIsNotCounted) {
+  // One 128 MiB ext2 group has 2,048 inode slots, and the root holds one.
+  VfsFixture f(FsKind::kExt2, VfsConfig{}, 128 * kMiB);
+  for (int i = 0; i < 2047; ++i) {
+    ASSERT_EQ(f.vfs->CreateFile("/f" + std::to_string(i)), FsStatus::kOk);
+  }
+  ASSERT_EQ(f.vfs->CreateFile("/full"), FsStatus::kNoSpace);
+  EXPECT_EQ(f.vfs->Open("/extra", /*create=*/true).status, FsStatus::kNoSpace);
+  EXPECT_EQ(f.vfs->stats().creates, 2047u);
 }
 
 TEST(VfsTest, HitRatioReflectsCacheBehaviour) {
