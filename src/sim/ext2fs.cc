@@ -39,12 +39,6 @@ uint32_t Ext2Fs::IndirectSlotsInto(uint64_t page, uint64_t* slots) const {
   return 3;
 }
 
-void Ext2Fs::IndirectSlotsFor(uint64_t page, std::vector<uint64_t>* slots) const {
-  uint64_t chain[kMaxIndirectDepth];
-  const uint32_t depth = IndirectSlotsInto(page, chain);
-  slots->insert(slots->end(), chain, chain + depth);
-}
-
 void Ext2Fs::AddMappingReads(const Inode& inode, uint64_t page_index, MetaIo* io) const {
   io->AddMetaRead(inode.itable_block);
   uint64_t slots[kMaxIndirectDepth];
@@ -62,8 +56,9 @@ void Ext2Fs::ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::
   const uint64_t total_pages = CeilDiv(dir.slot_count(), epb);
   const uint64_t scanned =
       slot.has_value() ? std::min<uint64_t>(*slot / epb + 1, total_pages) : total_pages;
+  const std::vector<BlockId>& map = dir_inode.block_map;
   // Pages past the block map are holes, for which MapPageFor charges nothing.
-  const uint64_t last = std::min<uint64_t>(scanned, dir_inode.block_map.size());
+  const uint64_t last = std::min<uint64_t>(scanned, map.size());
   const uint64_t direct = direct_pages();
   const uint64_t ptrs = pointers_per_block();
   uint64_t page = 0;
@@ -73,25 +68,24 @@ void Ext2Fs::ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::
     // double- and triple-indirect leaf).
     const uint64_t stretch_end = std::min<uint64_t>(
         last, page < direct ? direct : direct + ((page - direct) / ptrs + 1) * ptrs);
-    while (page < stretch_end && dir_inode.block_map[page] == kInvalidBlock) {
-      ++page;
-    }
-    if (page == stretch_end) {
-      continue;
-    }
-    const uint32_t begin = io->reads.size();
-    AddMappingReads(dir_inode, page, io);
-    const uint32_t chain_end = io->reads.size();
-    for (; page < stretch_end; ++page) {
-      const BlockId block = dir_inode.block_map[page];
-      if (block != kInvalidBlock) {
-        io->reads.push_back({dir_inode.ino, page, block});
+    // A hole ends the piece here, when the scan is planned: a Create may map
+    // the hole before its plan is charged, and the plan never scanned it.
+    const uint64_t piece_end =
+        std::find(map.begin() + page, map.begin() + stretch_end, kInvalidBlock) - map.begin();
+    if (piece_end > page) {
+      const uint32_t begin = io->reads.size();
+      AddMappingReads(dir_inode, page, io);
+      const uint32_t chain = io->reads.size() - begin;
+      const uint32_t pages = piece_end - page;
+      if (pages == 1) {
+        // One page is already in charge order: its chain, then the page.
+        io->reads.push_back({dir_inode.ino, page, map[page]});
+      } else {
+        io->runs.push_back({begin, chain, pages, dir_inode.ino, page, &map});
       }
     }
-    // One page is already in charge order: its chain, then the page.
-    if (io->reads.size() - chain_end > 1) {
-      io->runs.push_back({begin, chain_end - begin, io->reads.size()});
-    }
+    // Past the piece, and past the hole that ended it if one did.
+    page = std::min(piece_end + 1, stretch_end);
   }
 }
 

@@ -29,16 +29,13 @@ class Ext2Fs : public FileSystem {
   // lost metadata write is counted and the file system soldiers on.
   bool RemountRoOnWriteError() const override { return false; }
 
-  // Indirect-block slot numbering for `page`, appended to `slots`. Slot
-  // indices address Inode::indirect_blocks; exposed for tests.
-  void IndirectSlotsFor(uint64_t page, std::vector<uint64_t>* slots) const;
-
   // Deepest possible indirect chain: single, double root+leaf, triple
   // root+mid+leaf.
   static constexpr uint32_t kMaxIndirectDepth = 3;
 
-  // Allocation-free variant for the hot mapping path: fills `slots` (at
-  // least kMaxIndirectDepth entries) and returns the chain depth.
+  // Indirect-block slot numbering for `page`: fills `slots` (at least
+  // kMaxIndirectDepth entries) with indices into Inode::indirect_blocks and
+  // returns the chain depth.
   uint32_t IndirectSlotsInto(uint64_t page, uint64_t* slots) const;
 
  protected:
@@ -46,8 +43,8 @@ class Ext2Fs : public FileSystem {
   FsResult<BlockId> AllocatePageFor(Inode& inode, uint64_t page_index, MetaIo* io) override;
   // Linear scan: a positive lookup reads the directory pages up to and
   // including the entry's page, a negative one reads all of them, each page
-  // after what MapPageFor charges for it. Pages that share an indirect chain
-  // are emitted as one MetaRun.
+  // after what MapPageFor charges for it. Two or more mapped pages in a row
+  // that share an indirect chain are emitted as one MetaRun; a hole ends it.
   void ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::string_view name,
                        std::optional<uint64_t> slot, MetaIo* io) override;
   void FreeAllBlocks(Inode& inode, MetaIo* io) override;

@@ -10,6 +10,7 @@
 #ifndef SRC_SIM_FILESYSTEM_H_
 #define SRC_SIM_FILESYSTEM_H_
 
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <string>
@@ -29,19 +30,38 @@
 
 namespace fsbench {
 
-// A compact stretch of MetaIo::reads: pages that share one mapping chain
+// A page range of one directory whose pages share one mapping chain
 // (inode-table block, then indirect blocks), as an ext2 directory scan reads
-// them. reads[begin, begin + chain) holds the chain once and
-// reads[begin + chain, end) one ref per page; the run stands for every page
-// read after the whole chain again.
+// them. MetaIo::reads[begin, begin + chain) holds the chain once; the run
+// stands for pages [first_page, first_page + pages) of inode `ino`, each read
+// after the whole chain again. A page's block is read from `block_map` only
+// when the run is expanded.
+//
+// `block_map` is the directory inode's map object, whose address is stable
+// until the inode is erased (InodeTable); its data may move as the directory
+// grows. Every page of the range is mapped when the run is planned, and
+// between the file-system call that plans a run and the VFS charging it, no
+// path unmaps or remaps a mapped page of the scanned directory or erases its
+// inode. (Create may map a hole page, but holes split runs when they are
+// planned, so no run covers one.)
 struct MetaRun {
   uint32_t begin = 0;
   uint32_t chain = 0;
-  uint32_t end = 0;
+  uint32_t pages = 0;
+  InodeId ino = kInvalidInode;
+  uint64_t first_page = 0;
+  const std::vector<BlockId>* block_map = nullptr;
 
-  uint32_t pages() const { return end - begin - chain; }
   // Reads the run charges once expanded: (chain + 1) per page.
-  uint64_t expanded_reads() const { return static_cast<uint64_t>(chain + 1) * pages(); }
+  uint64_t expanded_reads() const { return static_cast<uint64_t>(chain + 1) * pages; }
+
+  // The read of page `i` of the range.
+  MetaRef page(uint32_t i) const {
+    const uint64_t index = first_page + i;
+    const BlockId block = (*block_map)[index];
+    assert(block != kInvalidBlock);
+    return MetaRef{ino, index, block};
+  }
 };
 
 // The I/O plan for one file-system operation. (MetaRef, the element type,
@@ -56,7 +76,7 @@ struct MetaRun {
 // (inode table + triple-indirect chain), Create at most ~7 writes.
 struct MetaIo {
   SmallVec<MetaRef, 12> reads;         // must be resident or read from disk
-  SmallVec<MetaRun, 2> runs;           // compact stretches of `reads`, ascending
+  SmallVec<MetaRun, 2> runs;           // page ranges, ascending by chain position
   SmallVec<MetaRef, 8> writes;         // dirtied (journaled on ext3)
   SmallVec<MetaRef, 4> invalidations;  // cache entries to drop (unlink, truncate)
   SmallVec<InodeId, 2> drop_files;     // whole files whose pages must be dropped
@@ -68,8 +88,12 @@ struct MetaIo {
   // chain, page, ... `fn(ref)` returns false to stop the walk, which then
   // returns false. `claim(run)` is offered each run first and returns true
   // when it has charged the run whole, which skips the expansion.
+  //
+  // Always inlined: otherwise GCC 12 at -O2 outlines the instantiation in
+  // Vfs::ProcessMetaIo, the per-op hot path, and splits that function into
+  // a .part clone.
   template <typename Fn, typename Claim>
-  bool ForEachRead(Fn&& fn, Claim&& claim) const {
+  [[gnu::always_inline]] bool ForEachRead(Fn&& fn, Claim&& claim) const {
     uint32_t i = 0;
     for (uint32_t r = 0;; ++r) {
       // The reads before the next run, one by one.
@@ -83,15 +107,15 @@ struct MetaIo {
         return true;
       }
       const MetaRun& run = runs[r];
-      i = run.end;
+      const uint32_t chain_end = run.begin + run.chain;
+      i = chain_end;
       if (claim(run)) {
         continue;
       }
       // Each page after the whole chain: reads[begin, chain_end), then page.
-      const uint32_t chain_end = run.begin + run.chain;
-      for (uint32_t page = chain_end; page < run.end; ++page) {
+      for (uint32_t p = 0; p < run.pages; ++p) {
         for (uint32_t c = run.begin; c <= chain_end; ++c) {
-          if (!fn(reads[c < chain_end ? c : page])) {
+          if (!fn(c < chain_end ? reads[c] : run.page(p))) {
             return false;
           }
         }

@@ -356,29 +356,40 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   ++stats_.insertions;
 }
 
-bool PageCache::LookupRun(std::span<const PageKey> keys, uint32_t chain) {
-  assert(chain < keys.size());
-  // A hit never evicts, so every lookup of the sequence hits. Afterwards a
-  // key's recency state depends only on its last hit (LRU, 2Q's Am and ARC
-  // move it to the front of its list; CLOCK's bit and 2Q's A1in ignore
-  // order), so touching the keys once each in last-hit order is exact: every
-  // page but the last, then the chain, then the last page. That is keys[0,
-  // last) rotated left by `chain`, then keys[last]. A repeated key ends up
-  // where its later touch puts it, as its later hit would.
-  const uint32_t last = static_cast<uint32_t>(keys.size()) - 1;
+bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                          uint32_t pages) {
+  assert(pages > 0);
   run_nodes_.clear();
-  for (uint32_t k = 0; k <= last; ++k) {
-    const uint32_t i = k == last ? last : (k + chain < last ? k + chain : k + chain - last);
-    const uint32_t n = slab_.Find(keys[i]);
+  for (const PageKey& key : chain) {
+    const uint32_t n = slab_.Find(key);
     if (n == kNil || !IsResidentNode(n)) {
       return false;
     }
     run_nodes_.push_back(n);
   }
-  for (const uint32_t n : run_nodes_) {
-    PolicyResidentAccess(n);
+  for (uint32_t i = 0; i < pages; ++i) {
+    const uint32_t n = slab_.Find(PageKey{ino, first_page + i});
+    if (n == kNil || !IsResidentNode(n)) {
+      return false;
+    }
+    run_nodes_.push_back(n);
   }
-  stats_.hits += static_cast<uint64_t>(chain + 1) * (keys.size() - chain);
+  // A hit never evicts, so every lookup of the sequence hits. Afterwards a
+  // key's recency state depends only on its last hit (LRU, 2Q's Am and ARC
+  // move it to the front of its list; CLOCK's bit and 2Q's A1in ignore
+  // order), so touching the keys once each in last-hit order is exact: every
+  // page but the last, then the chain, then the last page. A chain key that
+  // repeats, or that is also a page, ends up where its later touch puts it,
+  // as its later hit would.
+  const size_t chain_size = chain.size();
+  for (size_t k = chain_size; k + 1 < run_nodes_.size(); ++k) {
+    PolicyResidentAccess(run_nodes_[k]);
+  }
+  for (size_t k = 0; k < chain_size; ++k) {
+    PolicyResidentAccess(run_nodes_[k]);
+  }
+  PolicyResidentAccess(run_nodes_.back());
+  stats_.hits += static_cast<uint64_t>(chain_size + 1) * pages;
   return true;
 }
 

@@ -96,13 +96,14 @@ class PageCache {
   // records a miss otherwise.
   bool Lookup(const PageKey& key);
 
-  // Lookup of a run in one call: keys[0, chain) are a chain looked up again
-  // before each of the page keys that follow, so the run stands for the
+  // Lookup of a run in one call: the `chain` keys are looked up again before
+  // each page {ino, first_page + i}, i < pages, so the run stands for the
   // sequence chain, page 0, chain, page 1, ... Each key is probed once. If
   // every key is resident, applies the hits of that sequence and returns
   // true. Otherwise returns false and changes nothing, misses included: the
   // caller then makes the lookups one by one.
-  bool LookupRun(std::span<const PageKey> keys, uint32_t chain);
+  bool LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                 uint32_t pages);
 
   // Makes `key` resident (or refreshes it if already resident). Evicts as
   // needed, reporting victims into `evicted` (cleared on entry; may be null

@@ -130,10 +130,10 @@ FsStatus Vfs::ProcessMetaIo(const MetaIo& io) {
   // ref, so misses, demand reads and evictions happen exactly in charge order.
   const auto read_resident_run = [&](const MetaRun& run) {
     run_keys_.clear();
-    for (uint32_t i = run.begin; i < run.end; ++i) {
+    for (uint32_t i = run.begin; i < run.begin + run.chain; ++i) {
       run_keys_.push_back(PageKey{io.reads[i].ino, io.reads[i].index});
     }
-    if (!cache_.LookupRun(run_keys_, run.chain)) {
+    if (!cache_.LookupRun(run_keys_, run.ino, run.first_page, run.pages)) {
       return false;
     }
     clock_->Advance(scaled_meta_touch_ * static_cast<Nanos>(run.expanded_reads()));
@@ -413,6 +413,10 @@ FsResult<Bytes> Vfs::Read(int fd, Bytes offset, Bytes length) {
   if (!attr.ok()) {
     return FsResult<Bytes>::Error(attr.status);
   }
+  // read(2) on a directory fails with EISDIR before touching anything.
+  if (attr.value.type == FileType::kDirectory) {
+    return FsResult<Bytes>::Error(FsStatus::kIsDir);
+  }
   if (ProcessMetaIo(meta_scratch_) != FsStatus::kOk) {
     return FsResult<Bytes>::Error(FsStatus::kIoError);
   }
@@ -528,6 +532,10 @@ FsResult<Bytes> Vfs::Write(int fd, Bytes offset, Bytes length) {
   const FsResult<FileAttr> attr = fs_->Stat(file->ino, &meta_scratch_);
   if (!attr.ok()) {
     return FsResult<Bytes>::Error(attr.status);
+  }
+  // write(2) on a directory fails with EISDIR before touching anything.
+  if (attr.value.type == FileType::kDirectory) {
+    return FsResult<Bytes>::Error(FsStatus::kIsDir);
   }
   if (ProcessMetaIo(meta_scratch_) != FsStatus::kOk) {
     return FsResult<Bytes>::Error(FsStatus::kIoError);

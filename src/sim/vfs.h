@@ -222,7 +222,7 @@ class Vfs : public CheckpointSink, public IoWriteErrorSink {
   // storage is retained across Reset, so a warmed-up Vfs never allocates on
   // the hit path) and the writeback batch.
   MetaIo meta_scratch_;
-  std::vector<PageKey> run_keys_;  // one MetaRun's keys for PageCache::LookupRun
+  std::vector<PageKey> run_keys_;  // one MetaRun's chain keys for PageCache::LookupRun
   std::vector<PageCache::Evicted> writeback_scratch_;
   // Separate from writeback_scratch_: checkpoint writeback can be forced
   // from inside Fsync, while writeback_scratch_ is mid-use.

@@ -174,13 +174,16 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
 }
 
 // LookupRun against the lookups it stands for. The usual insert, lookup,
-// remove and RemoveFile mix is interleaved with runs of 1-3 chain keys and
-// 1-40 page keys, drawn with repeats from the resident set; two runs in five
-// also draw recent victims (ghosts under 2Q and ARC) and random keys. When
-// every key is resident the oracle makes the expanded lookups (chain, page,
-// chain, page, ...) and the run must succeed; otherwise the run must fail and
-// change nothing. The victim sequences of later inserts, and a final drain,
-// catch any difference in recency.
+// remove and RemoveFile mix is interleaved with runs of 1-3 chain keys, drawn
+// from the resident set with repeats (of each other and of the run's own
+// pages), and a range of 1-40 pages of one inode anchored on a resident page.
+// Two runs in five are mixed: their chains also draw recent victims (ghosts
+// under 2Q and ARC) and random keys, and half of them let the range run past
+// the resident stretch at its anchor. When every key is resident the oracle
+// makes the expanded lookups (chain, page, chain, page, ...) and the run must
+// succeed; otherwise the run must fail and change nothing. The victim
+// sequences of later inserts, and a final drain, catch any difference in
+// recency.
 TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
   const TraceParam param = GetParam();
   PageCache cache(param.capacity, param.kind);
@@ -212,7 +215,7 @@ TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
   int resident_runs = 0;
   int missed_runs = 0;
   std::vector<PageKey> resident;
-  std::vector<PageKey> run;
+  std::vector<PageKey> chain;
   for (int step = 0; step < 6000; ++step) {
     const double action = rng.NextDouble();
     if (action < 0.45) {
@@ -243,34 +246,49 @@ TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
       if (resident.empty()) {
         continue;
       }
-      const uint32_t chain = 1 + static_cast<uint32_t>(rng.NextBelow(3));
-      const uint32_t count = chain + 1 + static_cast<uint32_t>(rng.NextBelow(40));
+      const PageKey anchor = resident[rng.NextBelow(resident.size())];
+      auto page_key = [&](uint64_t i) { return PageKey{anchor.ino, anchor.index + i}; };
+      uint32_t stretch = 1;
+      while (stretch < 40 && oracle.Contains(page_key(stretch))) {
+        ++stretch;
+      }
       const bool mixed = rng.NextBelow(5) < 2;
-      run.clear();
-      for (uint32_t i = 0; i < count; ++i) {
-        if (mixed && rng.NextBelow(8) == 0) {
+      const uint32_t pages =
+          1 + static_cast<uint32_t>(rng.NextBelow(mixed && rng.NextBelow(2) == 0 ? 40 : stretch));
+      const uint32_t chain_size = 1 + static_cast<uint32_t>(rng.NextBelow(3));
+      chain.clear();
+      for (uint32_t c = 0; c < chain_size; ++c) {
+        const uint64_t pick = rng.NextBelow(8);
+        if (mixed && pick == 0) {
           const bool ghost = !victims.empty() && rng.NextBelow(2) == 0;
-          run.push_back(ghost ? victims[victims.size() - 1 -
-                                       rng.NextBelow(std::min<size_t>(victims.size(), 32))]
-                              : random_key());
+          chain.push_back(ghost ? victims[victims.size() - 1 -
+                                         rng.NextBelow(std::min<size_t>(victims.size(), 32))]
+                                : random_key());
+        } else if (c > 0 && pick == 1) {
+          const PageKey repeat = chain[rng.NextBelow(c)];
+          chain.push_back(repeat);
+        } else if (pick == 2) {
+          chain.push_back(page_key(rng.NextBelow(pages)));
         } else {
-          run.push_back(resident[rng.NextBelow(resident.size())]);
+          chain.push_back(resident[rng.NextBelow(resident.size())]);
         }
       }
-      const bool all_resident = std::all_of(run.begin(), run.end(), [&](const PageKey& key) {
-        return oracle.Contains(key);
-      });
+      bool all_resident = std::all_of(chain.begin(), chain.end(),
+                                      [&](const PageKey& key) { return oracle.Contains(key); });
+      for (uint32_t i = 0; i < pages; ++i) {
+        all_resident = all_resident && oracle.Contains(page_key(i));
+      }
       const PageCacheStats before = cache.stats();
-      const bool charged = cache.LookupRun(run, chain);
+      const bool charged = cache.LookupRun(chain, anchor.ino, anchor.index, pages);
       ASSERT_EQ(charged, all_resident) << "step " << step;
       if (charged) {
-        for (uint32_t page = chain; page < count; ++page) {
-          for (uint32_t c = 0; c < chain; ++c) {
-            ASSERT_TRUE(oracle.Lookup(run[c])) << "step " << step;
+        for (uint32_t i = 0; i < pages; ++i) {
+          for (const PageKey& key : chain) {
+            ASSERT_TRUE(oracle.Lookup(key)) << "step " << step;
           }
-          ASSERT_TRUE(oracle.Lookup(run[page])) << "step " << step;
+          ASSERT_TRUE(oracle.Lookup(page_key(i))) << "step " << step;
         }
-        hits += static_cast<uint64_t>(chain + 1) * (count - chain);
+        hits += static_cast<uint64_t>(chain_size + 1) * pages;
         ++resident_runs;
       } else {
         ASSERT_EQ(cache.stats(), before) << "step " << step;

@@ -248,24 +248,15 @@ INSTANTIATE_TEST_SUITE_P(AllFs, FileSystemSweep,
 
 TEST(Ext2FsTest, IndirectSlotNumbering) {
   Ext2Fs fs(kDevice, FsLayoutParams{}, nullptr);
-  std::vector<uint64_t> slots;
-  fs.IndirectSlotsFor(0, &slots);
-  EXPECT_TRUE(slots.empty());  // direct
-  slots.clear();
-  fs.IndirectSlotsFor(11, &slots);
-  EXPECT_TRUE(slots.empty());
-  slots.clear();
-  fs.IndirectSlotsFor(12, &slots);
-  ASSERT_EQ(slots.size(), 1u);  // single indirect
+  uint64_t slots[Ext2Fs::kMaxIndirectDepth];
+  EXPECT_EQ(fs.IndirectSlotsInto(0, slots), 0u);  // direct
+  EXPECT_EQ(fs.IndirectSlotsInto(11, slots), 0u);
+  ASSERT_EQ(fs.IndirectSlotsInto(12, slots), 1u);  // single indirect
   EXPECT_EQ(slots[0], 0u);
-  slots.clear();
-  fs.IndirectSlotsFor(12 + 1024, &slots);
-  ASSERT_EQ(slots.size(), 2u);  // double indirect: root + leaf
+  ASSERT_EQ(fs.IndirectSlotsInto(12 + 1024, slots), 2u);  // double indirect: root + leaf
   EXPECT_EQ(slots[0], 1u);
   EXPECT_EQ(slots[1], 2u);
-  slots.clear();
-  fs.IndirectSlotsFor(12 + 1024 + 1024 * 1024, &slots);
-  ASSERT_EQ(slots.size(), 3u);  // triple indirect
+  EXPECT_EQ(fs.IndirectSlotsInto(12 + 1024 + 1024 * 1024, slots), 3u);  // triple indirect
 }
 
 TEST(Ext2FsTest, LargeFileChargesIndirectMetaReads) {
@@ -330,15 +321,17 @@ TEST(Ext2FsTest, DirScanRunsExpandToMapPageReads) {
     EXPECT_TRUE(mapped.runs.empty());
     return ExpandedReads(mapped);
   };
-  auto expect_scan = [&](const MetaIo& scan, uint64_t pages, const std::string& what) {
-    const std::vector<MetaRef> got = ExpandedReads(scan);
-    const std::vector<MetaRef> want = map_pages(pages);
+  auto expect_reads = [](const std::vector<MetaRef>& got, const std::vector<MetaRef>& want,
+                         const std::string& what) {
     ASSERT_EQ(got.size(), want.size()) << what;
     for (size_t i = 0; i < got.size(); ++i) {
       ASSERT_EQ(got[i].ino, want[i].ino) << what << " read " << i;
       ASSERT_EQ(got[i].index, want[i].index) << what << " read " << i;
       ASSERT_EQ(got[i].block, want[i].block) << what << " read " << i;
     }
+  };
+  auto expect_scan = [&](const MetaIo& scan, uint64_t pages, const std::string& what) {
+    expect_reads(ExpandedReads(scan), map_pages(pages), what);
   };
 
   // A negative lookup scans every page: the direct pages, the single-
@@ -362,6 +355,22 @@ TEST(Ext2FsTest, DirScanRunsExpandToMapPageReads) {
   scan.Reset();
   ASSERT_EQ(fs.Lookup(dir.value, "missing", &scan).status, FsStatus::kNotFound);
   expect_scan(scan, kNames + 1, "negative, hole in the map");
+  // The hole splits the scan when it is planned: no run covers it.
+  const std::vector<BlockId>& block_map = fs.FindInode(dir.value)->block_map;
+  for (const MetaRun& run : scan.runs) {
+    for (uint32_t i = 0; i < run.pages; ++i) {
+      EXPECT_NE(block_map[run.first_page + i], kInvalidBlock) << "page " << run.first_page + i;
+    }
+  }
+  // A create reuses the hole's slot and maps the hole page during the call,
+  // after its negative scan was planned: the plan still reads exactly what
+  // the scan read, without the newly mapped page.
+  const std::vector<MetaRef> hole_scan = ExpandedReads(scan);
+  io.Reset();
+  ASSERT_TRUE(fs.Create(dir.value, "reuse", FileType::kRegular, &io).ok());
+  ASSERT_EQ(fs.FindDir(dir.value)->SlotOf("reuse"), kNames);
+  ASSERT_NE(block_map[kNames], kInvalidBlock);
+  expect_reads(ExpandedReads(io), hole_scan, "create into the hole");
 }
 
 TEST(XfsFsTest, ChunkedAllocationBuildsFewExtents) {

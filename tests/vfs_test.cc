@@ -30,7 +30,7 @@ struct VfsFixture {
         fs = std::make_unique<Ext2Fs>(device, FsLayoutParams{}, &clock);
         break;
       case FsKind::kExt3: {
-        auto ext3 = std::make_unique<Ext3Fs>(kDevice, FsLayoutParams{}, &clock);
+        auto ext3 = std::make_unique<Ext3Fs>(device, FsLayoutParams{}, &clock);
         ext3->AttachJournal(std::make_unique<JbdJournal>(&scheduler, &clock,
                                                          ext3->journal_region(),
                                                          JournalConfig{}));
@@ -38,7 +38,7 @@ struct VfsFixture {
         break;
       }
       case FsKind::kXfs:
-        fs = std::make_unique<XfsFs>(kDevice, FsLayoutParams{}, &clock);
+        fs = std::make_unique<XfsFs>(device, FsLayoutParams{}, &clock);
         break;
     }
     vfs = std::make_unique<Vfs>(&clock, &scheduler, fs.get(), config);
@@ -484,6 +484,38 @@ TEST_P(VfsFsSweep, EndToEndChurnStaysConsistent) {
   std::string error;
   EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
   EXPECT_TRUE(f.vfs->cache().CheckInvariants());
+}
+
+// read(2) and write(2) on a directory fd fail with EISDIR before changing
+// anything: no block is allocated, none is mapped into the directory, and
+// nothing is dirtied (on ext3, nothing is logged either).
+TEST_P(VfsFsSweep, ReadAndWriteOnDirectoryFailWithEisdir) {
+  VfsFixture f(GetParam());
+  ASSERT_EQ(f.vfs->Mkdir("/d"), FsStatus::kOk);
+  f.vfs->SyncAll();
+  const auto fd = f.vfs->Open("/d");
+  ASSERT_TRUE(fd.ok());
+  const auto before = f.vfs->Stat("/d");
+  ASSERT_TRUE(before.ok());
+  const uint64_t used_before = f.fs->allocator().used_blocks();
+  const size_t dirty_before = f.vfs->cache().dirty_count();
+  const Journal* journal = f.fs->journal();
+  const size_t logged_before = journal != nullptr ? journal->pending_blocks() : 0;
+
+  EXPECT_EQ(f.vfs->Write(fd.value, 5 * 4 * kKiB, 4 * kKiB).status, FsStatus::kIsDir);
+  EXPECT_EQ(f.vfs->Read(fd.value, 0, 4 * kKiB).status, FsStatus::kIsDir);
+
+  EXPECT_EQ(f.fs->allocator().used_blocks(), used_before);
+  const auto after = f.vfs->Stat("/d");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value.allocated_blocks, before.value.allocated_blocks);
+  EXPECT_EQ(after.value.size, before.value.size);
+  EXPECT_EQ(f.vfs->cache().dirty_count(), dirty_before);
+  if (journal != nullptr) {
+    EXPECT_EQ(journal->pending_blocks(), logged_before);
+  }
+  std::string error;
+  EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFs, VfsFsSweep,
