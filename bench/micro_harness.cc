@@ -15,6 +15,7 @@
 #include "src/core/metrics.h"
 #include "src/core/stats.h"
 #include "src/core/timeline.h"
+#include "src/sim/block_allocator.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/flash_tier.h"
 #include "src/sim/io_scheduler.h"
@@ -181,27 +182,67 @@ void BM_FlashTierInsertPromote(benchmark::State& state) {
 }
 BENCHMARK(BM_FlashTierInsertPromote);
 
+// Fills /d of an ext2 machine with `names` empty files; false, with the
+// benchmark skipped, if that fails.
+bool MakeExt2Directory(benchmark::State& state, Vfs& vfs, int64_t names) {
+  if (vfs.Mkdir("/d") != FsStatus::kOk) {
+    state.SkipWithError("mkdir failed");
+    return false;
+  }
+  for (int64_t i = 0; i < names; ++i) {
+    if (vfs.CreateFile("/d/f" + std::to_string(i)) != FsStatus::kOk) {
+      state.SkipWithError("create failed");
+      return false;
+    }
+  }
+  return true;
+}
+
 void BM_Ext2NegativeLookup(benchmark::State& state) {
   // Stat of a missing name: ext2's full linear scan of a warm directory of
   // range(0) names (64 dirents per page: 64 -> 1 page, 2000 -> 32 pages,
   // 20000 -> 313 pages, the size of hostbench's bigdir_churn directories).
   Machine machine(FsKind::kExt2, PaperTestbedConfig());
   Vfs& vfs = machine.vfs();
-  if (vfs.Mkdir("/d") != FsStatus::kOk) {
-    state.SkipWithError("mkdir failed");
+  if (!MakeExt2Directory(state, vfs, state.range(0))) {
     return;
-  }
-  for (int64_t i = 0; i < state.range(0); ++i) {
-    if (vfs.CreateFile("/d/f" + std::to_string(i)) != FsStatus::kOk) {
-      state.SkipWithError("create failed");
-      return;
-    }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(vfs.Stat("/d/missing").status);
   }
 }
 BENCHMARK(BM_Ext2NegativeLookup)->Arg(64)->Arg(2000)->Arg(20000);
+
+void BM_Ext2NegativeLookupMemoMiss(benchmark::State& state) {
+  // BM_Ext2NegativeLookup, but each iteration first inserts and removes one
+  // unrelated page, so a resident page leaves the cache before every scan
+  // and PageCache::LookupRun's run memo never answers it: the memo's miss
+  // path, plus the insert and remove.
+  Machine machine(FsKind::kExt2, PaperTestbedConfig());
+  Vfs& vfs = machine.vfs();
+  if (!MakeExt2Directory(state, vfs, state.range(0))) {
+    return;
+  }
+  const PageKey unrelated{1'000'000'000, 0};
+  for (auto _ : state) {
+    vfs.cache().Insert(unrelated, kInvalidBlock, false, nullptr);
+    vfs.cache().Remove(unrelated);
+    benchmark::DoNotOptimize(vfs.Stat("/d/missing").status);
+  }
+}
+BENCHMARK(BM_Ext2NegativeLookupMemoMiss)->Arg(20000);
+
+void BM_BlockAllocatorCheckInvariants(benchmark::State& state) {
+  // The fsck-style bitmap recount that FileSystem::CheckConsistency makes,
+  // over the 250 GiB device of PaperTestbedConfig (65,536,000 blocks in
+  // 2,000 groups) right after mkfs.
+  Machine machine(FsKind::kExt2, PaperTestbedConfig());
+  const BlockAllocator& allocator = machine.fs().allocator();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(allocator.CheckInvariants());
+  }
+}
+BENCHMARK(BM_BlockAllocatorCheckInvariants)->Unit(benchmark::kMillisecond);
 
 void BM_DiskModelRandomAccess(benchmark::State& state) {
   DiskParams params;

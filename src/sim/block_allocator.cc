@@ -1,6 +1,7 @@
 #include "src/sim/block_allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace fsbench {
@@ -208,26 +209,33 @@ void BlockAllocator::Free(const Extent& extent) {
 bool BlockAllocator::IsAllocated(BlockId block) const { return TestBit(block); }
 
 bool BlockAllocator::CheckInvariants() const {
-  uint64_t used = 0;
-  std::vector<uint64_t> group_used(group_free_.size(), 0);
-  for (BlockId b = 0; b < total_blocks_; ++b) {
-    if (TestBit(b)) {
-      ++used;
-      ++group_used[GroupOf(b)];
+  // Allocated blocks in [begin, end), a word at a time. Groups need not be
+  // 64-aligned, so the first and last words are masked to the range.
+  const auto count_allocated = [this](BlockId begin, BlockId end) {
+    const uint64_t first = begin / 64;
+    const uint64_t last = (end - 1) / 64;
+    const uint64_t first_mask = ~0ULL << (begin % 64);
+    const uint64_t last_mask = ~0ULL >> (63 - (end - 1) % 64);
+    if (first == last) {
+      return static_cast<uint64_t>(std::popcount(bitmap_[first] & first_mask & last_mask));
     }
-  }
-  if (used != used_) {
-    return false;
-  }
-  for (size_t g = 0; g < group_free_.size(); ++g) {
-    const uint64_t size = g + 1 == group_free_.size() && total_blocks_ % group_blocks_ != 0
-                              ? total_blocks_ % group_blocks_
-                              : group_blocks_;
-    if (group_used[g] + group_free_[g] != size) {
+    uint64_t count = static_cast<uint64_t>(std::popcount(bitmap_[first] & first_mask));
+    for (uint64_t w = first + 1; w < last; ++w) {
+      count += static_cast<uint64_t>(std::popcount(bitmap_[w]));
+    }
+    return count + static_cast<uint64_t>(std::popcount(bitmap_[last] & last_mask));
+  };
+  uint64_t used = 0;
+  for (uint64_t g = 0; g < group_free_.size(); ++g) {
+    const BlockId begin = g * group_blocks_;
+    const BlockId end = std::min<BlockId>(begin + group_blocks_, total_blocks_);
+    const uint64_t group_used = count_allocated(begin, end);
+    if (group_used + group_free_[g] != end - begin) {
       return false;
     }
+    used += group_used;
   }
-  return true;
+  return used == used_;
 }
 
 }  // namespace fsbench

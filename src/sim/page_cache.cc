@@ -254,6 +254,7 @@ void PageCache::EvictOne(EvictedBatch* evicted) {
   }
   InodeChainUnlink(victim);
   --resident_count_;
+  ++resident_epoch_;
   ++stats_.evictions;
   PolicyDemoteVictim(victim);
 }
@@ -356,9 +357,21 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   ++stats_.insertions;
 }
 
-bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
-                          uint32_t pages) {
-  assert(pages > 0);
+const PageCache::RunMemoEntry* PageCache::FindRunMemo(std::span<const PageKey> chain,
+                                                      InodeId ino, uint64_t first_page,
+                                                      uint32_t pages) const {
+  for (uint32_t e = 0; e < run_memo_size_; ++e) {
+    const RunMemoEntry& entry = run_memo_[e];
+    if (entry.ino == ino && entry.first_page == first_page && entry.pages == pages &&
+        std::equal(chain.begin(), chain.end(), entry.chain, entry.chain + entry.chain_size)) {
+      return &entry;
+    }
+  }
+  return nullptr;
+}
+
+bool PageCache::ProbeRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                         uint32_t pages) {
   run_nodes_.clear();
   for (const PageKey& key : chain) {
     const uint32_t n = slab_.Find(key);
@@ -374,6 +387,50 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
     }
     run_nodes_.push_back(n);
   }
+  return true;
+}
+
+bool PageCache::RunMemoMatchesTable(const RunMemoEntry& entry) const {
+  if (entry.nodes.size() != entry.chain_size + static_cast<size_t>(entry.pages)) {
+    return false;
+  }
+  for (size_t k = 0; k < entry.nodes.size(); ++k) {
+    const PageKey key = k < entry.chain_size
+                            ? entry.chain[k]
+                            : PageKey{entry.ino, entry.first_page + (k - entry.chain_size)};
+    if (slab_.Find(key) != entry.nodes[k] || !IsResidentNode(entry.nodes[k])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                          uint32_t pages) {
+  assert(pages > 0);
+  if (run_memo_epoch_ != resident_epoch_) {
+    run_memo_epoch_ = resident_epoch_;
+    run_memo_size_ = 0;
+    run_memo_next_ = 0;
+  }
+  const std::vector<uint32_t>* nodes = &run_nodes_;
+  if (const RunMemoEntry* hit = FindRunMemo(chain, ino, first_page, pages); hit != nullptr) {
+    assert(RunMemoMatchesTable(*hit));
+    nodes = &hit->nodes;
+  } else if (!ProbeRun(chain, ino, first_page, pages)) {
+    return false;
+  } else if (chain.size() <= kRunMemoChainKeys) {
+    RunMemoEntry& entry = run_memo_[run_memo_next_];
+    run_memo_next_ = (run_memo_next_ + 1) % kRunMemoEntries;
+    run_memo_size_ = std::min(run_memo_size_ + 1, kRunMemoEntries);
+    entry.ino = ino;
+    entry.first_page = first_page;
+    entry.pages = pages;
+    entry.chain_size = static_cast<uint32_t>(chain.size());
+    std::copy(chain.begin(), chain.end(), entry.chain);
+    entry.nodes.swap(run_nodes_);
+    nodes = &entry.nodes;
+  }
   // A hit never evicts, so every lookup of the sequence hits. Afterwards a
   // key's recency state depends only on its last hit (LRU, 2Q's Am and ARC
   // move it to the front of its list; CLOCK's bit and 2Q's A1in ignore
@@ -381,14 +438,41 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
   // page but the last, then the chain, then the last page. A chain key that
   // repeats, or that is also a page, ends up where its later touch puts it,
   // as its later hit would.
+  //
+  // Moves to the front are applied in blocks. Moving t1, ..., tk to the
+  // front one at a time leaves the list that splicing the segment tk .. t1
+  // leaves, when the segment is adjacent in that order. So a touch that
+  // only moves its node to the front joins the pending block when the node
+  // lies just before the block's front, read from the list as it stands
+  // before the block moves; any other touch splices the block first.
+  uint32_t block_front = kNil;
+  uint32_t block_back = kNil;
+  const auto flush = [&] {
+    if (block_front != kNil) {
+      AnchorOf(ListOf(block_front)).SpliceToFront(links_, block_front, block_back);
+      block_front = kNil;
+    }
+  };
+  const auto touch = [&](uint32_t n) {
+    if (!HitMovesToFront(n)) {
+      flush();
+      PolicyResidentAccess(n);
+    } else if (block_front != kNil && links_[block_front].prev == n) {
+      block_front = n;
+    } else {
+      flush();
+      block_front = block_back = n;
+    }
+  };
   const size_t chain_size = chain.size();
-  for (size_t k = chain_size; k + 1 < run_nodes_.size(); ++k) {
-    PolicyResidentAccess(run_nodes_[k]);
+  for (size_t k = chain_size; k + 1 < nodes->size(); ++k) {
+    touch((*nodes)[k]);
   }
   for (size_t k = 0; k < chain_size; ++k) {
-    PolicyResidentAccess(run_nodes_[k]);
+    touch((*nodes)[k]);
   }
-  PolicyResidentAccess(run_nodes_.back());
+  touch(nodes->back());
+  flush();
   stats_.hits += static_cast<uint64_t>(chain_size + 1) * pages;
   return true;
 }
@@ -439,6 +523,7 @@ void PageCache::RemoveResidentNode(uint32_t n, bool maintain_inode_chain) {
   ListUnlink(n);
   DropNode(n);
   --resident_count_;
+  ++resident_epoch_;
 }
 
 void PageCache::Remove(const PageKey& key) {
@@ -579,6 +664,16 @@ bool PageCache::CheckInvariants(const char** why) const {
   if (!slab_.CheckPopulation(live_count_)) {
     *why = "table population does not match live count";
     return false;
+  }
+  // Run memo: within its epoch, every entry still names resident nodes
+  // holding its keys (an older epoch's entries are never read).
+  if (run_memo_epoch_ == resident_epoch_) {
+    for (uint32_t e = 0; e < run_memo_size_; ++e) {
+      if (!RunMemoMatchesTable(run_memo_[e])) {
+        *why = "run memo entry of the current epoch names a stale node";
+        return false;
+      }
+    }
   }
   return true;
 }

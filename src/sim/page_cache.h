@@ -31,6 +31,13 @@
 // The slab and table are pre-sized from PolicyGeometry::max_live_nodes, so
 // steady-state operation never allocates or rehashes. A second FlatIndex,
 // inode_index_, maps each inode to the head node of its chain.
+//
+// Run memo: LookupRun keeps the node ids of the last few runs it resolved
+// (run_memo_, replaced round-robin), so a repeated directory scan skips its
+// probes. A node id names the same key until DropNode frees it, and a
+// resident node leaves residency only in EvictOne or RemoveResidentNode.
+// Both bump resident_epoch_, and the memo is emptied whenever its epoch is
+// behind, so every entry it holds names resident nodes with their keys.
 #ifndef SRC_SIM_PAGE_CACHE_H_
 #define SRC_SIM_PAGE_CACHE_H_
 
@@ -101,7 +108,8 @@ class PageCache {
   // sequence chain, page 0, chain, page 1, ... Each key is probed once. If
   // every key is resident, applies the hits of that sequence and returns
   // true. Otherwise returns false and changes nothing, misses included: the
-  // caller then makes the lookups one by one.
+  // caller then makes the lookups one by one. A run resolved since the last
+  // page left the cache is answered from the run memo without probing.
   bool LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
                  uint32_t pages);
 
@@ -226,6 +234,9 @@ class PageCache {
   }
 
   // --- policy transitions ---
+  // Whether a hit on resident node n only moves it to the front of its own
+  // list (LRU, 2Q's Am, ARC's T2); LookupRun splices such moves in blocks.
+  bool HitMovesToFront(uint32_t n) const;
   void PolicyResidentAccess(uint32_t n);  // OnAccess of a resident node
   void PolicyInsertNew(uint32_t n);       // brand-new resident node
   void PolicyGhostRevive(uint32_t n);     // ghost node becoming resident
@@ -239,6 +250,26 @@ class PageCache {
   void EvictOne(EvictedBatch* evicted);
   void RemoveResidentNode(uint32_t n, bool maintain_inode_chain);
   void FreeGhostNode(uint32_t n);
+
+  // --- run memo ---
+  static constexpr uint32_t kRunMemoEntries = 8;
+  static constexpr uint32_t kRunMemoChainKeys = 4;  // MapPage's longest chain
+  // A resolved run: its identity, and its node ids, chain first, then pages.
+  struct RunMemoEntry {
+    InodeId ino = kInvalidInode;
+    uint64_t first_page = 0;
+    uint32_t pages = 0;
+    uint32_t chain_size = 0;
+    PageKey chain[kRunMemoChainKeys];
+    std::vector<uint32_t> nodes;
+  };
+  const RunMemoEntry* FindRunMemo(std::span<const PageKey> chain, InodeId ino,
+                                  uint64_t first_page, uint32_t pages) const;
+  // Probes every key of the run into run_nodes_; false if one is not resident.
+  bool ProbeRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                uint32_t pages);
+  // Every key of `entry` finds its recorded node, and the node is resident.
+  bool RunMemoMatchesTable(const RunMemoEntry& entry) const;
 
   size_t capacity_;
   EvictionPolicyKind kind_;
@@ -267,37 +298,45 @@ class PageCache {
 
   size_t resident_count_ = 0;
   size_t live_count_ = 0;  // resident + ghost
+  // Bumped whenever a resident node leaves residency (EvictOne,
+  // RemoveResidentNode); the run memo is valid only within one epoch.
+  uint64_t resident_epoch_ = 0;
   PageCacheStats stats_;
 
   std::vector<uint32_t> run_nodes_;  // LookupRun's probed nodes, reused
+  RunMemoEntry run_memo_[kRunMemoEntries];
+  uint64_t run_memo_epoch_ = 0;  // resident_epoch_ the entries belong to
+  uint32_t run_memo_size_ = 0;   // entries [0, size) are valid
+  uint32_t run_memo_next_ = 0;   // the entry the next record replaces
 };
 
 // --- inline hot path --------------------------------------------------------
 
-inline void PageCache::PolicyResidentAccess(uint32_t n) {
+inline bool PageCache::HitMovesToFront(uint32_t n) const {
   switch (kind_) {
     case EvictionPolicyKind::kLru:
-      ListMoveToFront(n);
-      break;
+      return true;
     case EvictionPolicyKind::kClock:
-      list_meta_[n] |= kReferencedBit;
-      break;
+      return false;
     case EvictionPolicyKind::kTwoQueue:
-      // Hits in A1in deliberately do not promote (classic 2Q).
-      if (ListOf(n) == CacheListId::kAm) {
-        ListMoveToFront(n);
-      }
-      break;
+      return ListOf(n) == CacheListId::kAm;
     case EvictionPolicyKind::kArc:
-      // Any resident hit moves the page to T2 MRU.
-      if (ListOf(n) == CacheListId::kT1) {
-        ListUnlink(n);
-        ListPushFront(CacheListId::kT2, n);
-      } else {
-        ListMoveToFront(n);
-      }
-      break;
+      return ListOf(n) == CacheListId::kT2;
   }
+  return false;
+}
+
+inline void PageCache::PolicyResidentAccess(uint32_t n) {
+  if (HitMovesToFront(n)) {
+    ListMoveToFront(n);
+  } else if (kind_ == EvictionPolicyKind::kClock) {
+    list_meta_[n] |= kReferencedBit;
+  } else if (kind_ == EvictionPolicyKind::kArc) {
+    // A T1 hit moves the page to T2 MRU, as a T2 hit does above.
+    ListUnlink(n);
+    ListPushFront(CacheListId::kT2, n);
+  }
+  // 2Q: hits in A1in deliberately do not promote (classic 2Q).
 }
 
 inline bool PageCache::Contains(const PageKey& key) const {

@@ -19,6 +19,8 @@
 //
 // IndexList is a doubly linked list (head, tail, length) threaded through
 // an owner's IndexLink array; several lists can share one array.
+// SpliceToFront moves an adjacent segment to the head in O(1), which is how
+// PageCache::LookupRun applies a run's recency moves in blocks.
 #ifndef SRC_SIM_PAGE_SLAB_H_
 #define SRC_SIM_PAGE_SLAB_H_
 
@@ -216,6 +218,27 @@ class IndexList {
       Unlink(links, n);
       PushFront(links, n);
     }
+  }
+
+  // Moves the members first .. last, adjacent in that order from the front,
+  // to the front in one splice: the list MoveToFront(last), ...,
+  // MoveToFront(first) would leave.
+  void SpliceToFront(std::vector<IndexLink>& links, uint32_t first, uint32_t last) {
+    if (head_ == first) {
+      return;
+    }
+    const uint32_t before = links[first].prev;
+    const uint32_t after = links[last].next;
+    links[before].next = after;
+    if (after != kNil) {
+      links[after].prev = before;
+    } else {
+      tail_ = before;
+    }
+    links[first].prev = kNil;
+    links[last].next = head_;
+    links[head_].prev = last;
+    head_ = first;
   }
 
  private:

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
 
 #include "src/util/rng.h"
 
@@ -148,6 +149,43 @@ TEST_P(AllocatorPropertySweep, RandomAllocFreeKeepsInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AllocatorPropertySweep, ::testing::Values(1, 2, 3, 4, 5, 6));
+
+// Groups that do not line up with the bitmap's 64-bit words: CheckInvariants
+// counts each group a word at a time, so a group shares its first and last
+// words with its neighbours. 1,050 blocks in 100-block groups end in a
+// 50-block group; 530 in 24-block groups have groups inside one word, groups
+// across two, and a 2-block tail.
+class UnalignedGroupSweep : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(UnalignedGroupSweep, RandomAllocFreeKeepsInvariants) {
+  for (const auto& [total, group] : {std::pair<uint64_t, uint64_t>{1050, 100}, {530, 24}}) {
+    SCOPED_TRACE(testing::Message() << total << " blocks in groups of " << group);
+    BlockAllocator alloc(total, group);
+    ASSERT_TRUE(alloc.CheckInvariants());
+    Rng rng(GetParam());
+    std::set<BlockId> owned;
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.NextDouble() < 0.6 || owned.empty()) {
+        const auto block = alloc.AllocateBlock(rng.NextBelow(total));
+        if (block.has_value()) {
+          ASSERT_TRUE(owned.insert(*block).second) << "double allocation";
+        }
+      } else {
+        auto it = owned.begin();
+        std::advance(it, rng.NextBelow(owned.size()));
+        alloc.Free(Extent{*it, 1});
+        owned.erase(it);
+      }
+      if (step % 10 == 0) {
+        ASSERT_TRUE(alloc.CheckInvariants()) << "step " << step;
+      }
+    }
+    EXPECT_EQ(alloc.used_blocks(), owned.size());
+    EXPECT_TRUE(alloc.CheckInvariants());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, UnalignedGroupSweep, ::testing::Values(1, 2, 3));
 
 }  // namespace
 }  // namespace fsbench

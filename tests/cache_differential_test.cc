@@ -316,6 +316,181 @@ TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
+// LookupRun's run memo and spliced recency moves against the lookups a run
+// stands for. A few fixed directory-like runs (1-2 chain keys, 20-200 pages)
+// repeat, so about half the resident runs are answered from the memo, and
+// their moves splice long blocks. Two of them repeat a node next to a block
+// of two or more nodes: one's chain key is a page of the run, the other
+// gives its chain key twice. Two more share a range with another run but
+// not its chain, or share its start but not its length.
+// Between runs the trace makes single hits on run pages (which break
+// blocks), inserts new keys (which evict once the cache is full), and makes
+// Remove of a run page and of another page, RemoveFile of a run's inode and
+// Clear. A run that fails is charged one lookup at a time with an insert on
+// each miss, as the VFS does, so it becomes resident again. Every step
+// compares with the reference policies and runs CheckInvariants, which also
+// checks the memo's entries against the table.
+class RunMemoDifferential : public ::testing::TestWithParam<TraceParam> {};
+
+TEST_P(RunMemoDifferential, RepeatedRunsMatchExpandedLookups) {
+  const TraceParam param = GetParam();
+  PageCache cache(param.capacity, param.kind);
+  reference::ReferencePageCache oracle(param.capacity, param.kind);
+  Rng rng(param.seed * 0x9E3779B97F4A7C15ULL + 7);
+
+  struct Run {
+    std::vector<PageKey> chain;
+    InodeId ino;
+    uint64_t first_page;
+    uint32_t pages;
+  };
+  // Inode 9 stands for the metadata blocks a directory's chain reads.
+  const PageKey inode_block{9, 1};
+  const PageKey indirect_block{9, 2};
+  const std::vector<Run> runs = {
+      {{inode_block}, 1, 0, 24},
+      {{inode_block, indirect_block}, 1, 24, 200},
+      {{inode_block}, 2, 0, 40},
+      {{PageKey{2, 5}}, 2, 0, 30},
+      {{indirect_block, indirect_block}, 2, 8, 20},
+      // The range of the first run with another chain, and a shorter range
+      // at the third run's start: a memo entry matches only its own run.
+      {{indirect_block}, 1, 0, 24},
+      {{inode_block}, 2, 0, 36},
+  };
+  constexpr InodeId kOther = 3;
+
+  // A run repeats from the memo when it succeeded before and no resident
+  // page has left the cache since; `losses` counts the departures.
+  uint64_t losses = 0;
+  uint64_t evictions = 0;
+  std::vector<uint64_t> charged_after(runs.size(), ~0ULL);
+  int charged_runs = 0;
+  int repeated_runs = 0;
+  int failed_runs = 0;
+  auto insert = [&](const PageKey& key, bool dirty) {
+    const PageCache::EvictedBatch evicted = cache.Insert(key, BlockFor(key), dirty);
+    const auto expected = oracle.Insert(key, BlockFor(key), dirty);
+    ASSERT_EQ(evicted.size(), expected.size());
+    for (uint32_t i = 0; i < evicted.size(); ++i) {
+      ASSERT_TRUE(EvictedEqual(evicted[i], expected[i]))
+          << "victim " << i << ": slab {" << evicted[i].key.ino << "," << evicted[i].key.index
+          << "} vs oracle {" << expected[i].key.ino << "," << expected[i].key.index << "}";
+    }
+    losses += evicted.size();
+    evictions += evicted.size();
+  };
+  auto touch = [&](const PageKey& key) {
+    const bool hit = cache.Lookup(key);
+    ASSERT_EQ(hit, oracle.Lookup(key));
+    if (!hit) {
+      ASSERT_NO_FATAL_FAILURE(insert(key, false));
+    }
+  };
+  auto remove = [&](const PageKey& key) {
+    losses += oracle.Contains(key) ? 1 : 0;
+    cache.Remove(key);
+    oracle.Remove(key);
+  };
+  auto run_page = [&](const Run& run) {
+    return PageKey{run.ino, run.first_page + rng.NextBelow(run.pages)};
+  };
+
+  // Other keys, as many as the cache holds: bursts of touches of them evict
+  // once the cache is full.
+  auto other_key = [&] { return PageKey{kOther, rng.NextBelow(param.capacity)}; };
+
+  for (int step = 0; step < 2000; ++step) {
+    const double action = rng.NextDouble();
+    if (action < 0.72) {
+      const size_t r = rng.NextBelow(runs.size());
+      const Run& run = runs[r];
+      auto page_key = [&](uint32_t i) { return PageKey{run.ino, run.first_page + i}; };
+      bool all_resident = std::all_of(run.chain.begin(), run.chain.end(),
+                                      [&](const PageKey& key) { return oracle.Contains(key); });
+      for (uint32_t i = 0; i < run.pages; ++i) {
+        all_resident = all_resident && oracle.Contains(page_key(i));
+      }
+      const PageCacheStats before = cache.stats();
+      const bool charged = cache.LookupRun(run.chain, run.ino, run.first_page, run.pages);
+      ASSERT_EQ(charged, all_resident) << "step " << step;
+      if (charged) {
+        for (uint32_t i = 0; i < run.pages; ++i) {
+          for (const PageKey& key : run.chain) {
+            ASSERT_TRUE(oracle.Lookup(key)) << "step " << step;
+          }
+          ASSERT_TRUE(oracle.Lookup(page_key(i))) << "step " << step;
+        }
+        ASSERT_EQ(cache.stats().hits - before.hits, (run.chain.size() + 1) * run.pages)
+            << "step " << step;
+        ++charged_runs;
+        repeated_runs += charged_after[r] == losses ? 1 : 0;
+        charged_after[r] = losses;
+      } else {
+        ASSERT_EQ(cache.stats(), before) << "step " << step;
+        ++failed_runs;
+        for (uint32_t i = 0; i < run.pages; ++i) {
+          for (const PageKey& key : run.chain) {
+            ASSERT_NO_FATAL_FAILURE(touch(key)) << "step " << step;
+          }
+          ASSERT_NO_FATAL_FAILURE(touch(page_key(i))) << "step " << step;
+        }
+      }
+    } else if (action < 0.84) {
+      ASSERT_NO_FATAL_FAILURE(touch(run_page(runs[rng.NextBelow(runs.size())])))
+          << "step " << step;
+    } else if (action < 0.88) {
+      for (uint64_t n = 1 + rng.NextBelow(param.capacity / 8); n > 0; --n) {
+        ASSERT_NO_FATAL_FAILURE(touch(other_key())) << "step " << step;
+      }
+    } else if (action < 0.92) {
+      remove(run_page(runs[rng.NextBelow(runs.size())]));
+    } else if (action < 0.96) {
+      remove(other_key());
+    } else if (action < 0.99) {
+      const InodeId ino = 1 + rng.NextBelow(2);
+      for (uint64_t index = 0; index < 224; ++index) {
+        losses += oracle.Contains(PageKey{ino, index}) ? 1 : 0;
+      }
+      cache.RemoveFile(ino);
+      oracle.RemoveFile(ino);
+    } else {
+      losses += oracle.size();
+      cache.Clear();
+      oracle.Clear();
+    }
+
+    ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
+    ASSERT_EQ(cache.dirty_count(), oracle.dirty_count()) << "step " << step;
+    if (param.kind == EvictionPolicyKind::kArc) {
+      ASSERT_EQ(cache.arc_target_t1(), oracle.policy()->target_t1()) << "step " << step;
+    }
+    const char* why = nullptr;
+    ASSERT_TRUE(cache.CheckInvariants(&why)) << "step " << step << ": " << why;
+  }
+  // Many resident runs repeated from the memo, and the trace also failed
+  // runs and evicted.
+  EXPECT_GT(3 * repeated_runs, charged_runs);
+  EXPECT_GT(failed_runs, 0);
+  EXPECT_GT(evictions, 0u);
+  // Drain: new keys evict the whole resident set in the final recency order.
+  for (uint64_t n = 0; n < 2 * param.capacity; ++n) {
+    ASSERT_NO_FATAL_FAILURE(insert(PageKey{kOther + 1, n}, false)) << "drain " << n;
+  }
+  EXPECT_TRUE(cache.CheckInvariants());
+}
+
+INSTANTIATE_TEST_SUITE_P(Traces, RunMemoDifferential,
+                         ::testing::Values(Trace(EvictionPolicyKind::kLru, 320, 1),
+                                           Trace(EvictionPolicyKind::kLru, 512, 2),
+                                           Trace(EvictionPolicyKind::kClock, 320, 1),
+                                           Trace(EvictionPolicyKind::kClock, 512, 2),
+                                           Trace(EvictionPolicyKind::kTwoQueue, 320, 1),
+                                           Trace(EvictionPolicyKind::kTwoQueue, 512, 2),
+                                           Trace(EvictionPolicyKind::kArc, 320, 1),
+                                           Trace(EvictionPolicyKind::kArc, 512, 2)),
+                         ParamName);
+
 INSTANTIATE_TEST_SUITE_P(
     Traces, CacheDifferential,
     ::testing::Values(Trace(EvictionPolicyKind::kLru, 64, 1),

@@ -3,7 +3,7 @@
 // table grows through its first sizes and erases shift nodes back, so every
 // step can check that each live node's cached slot still points at it. The
 // list runs share one link array between several lists, as PageCache's
-// policy lists do.
+// policy lists do, and splice segments to the front as its runs do.
 #include "src/sim/page_slab.h"
 
 #include <gtest/gtest.h>
@@ -166,6 +166,8 @@ class ListModel {
     size_t head_inserts = 0;  // InsertBefore(head)
     size_t head_moves = 0;    // MoveToFront(head)
     size_t last_unlinks = 0;  // Unlink of a list's only member
+    size_t head_splices = 0;  // SpliceToFront of a segment starting at the head
+    size_t tail_splices = 0;  // SpliceToFront of a segment ending at the tail
   };
 
   void Step(Rng& rng) {
@@ -178,16 +180,31 @@ class ListModel {
     const int l = on_[n];
     IndexList& list = lists_[l];
     std::list<uint32_t>& ref = ref_[l];
-    if (rng.NextDouble() < 0.5) {
+    const double roll = rng.NextDouble();
+    if (roll < 0.35) {
       coverage_.head_moves += list.head() == n ? 1 : 0;
       list.MoveToFront(links_, n);
       ref.remove(n);
       ref.push_front(n);
-    } else {
+    } else if (roll < 0.7) {
       coverage_.last_unlinks += list.size() == 1 ? 1 : 0;
       list.Unlink(links_, n);
       ref.remove(n);
       on_[n] = -1;
+    } else {
+      // A random segment of n's list, which may start at the head or end at
+      // the tail.
+      const size_t at = rng.NextBelow(ref.size());
+      const size_t count = 1 + rng.NextBelow(ref.size() - at);
+      const auto first = std::next(ref.begin(), static_cast<std::ptrdiff_t>(at));
+      const auto end = std::next(first, static_cast<std::ptrdiff_t>(count));
+      coverage_.head_splices += at == 0 ? 1 : 0;
+      coverage_.tail_splices += end == ref.end() ? 1 : 0;
+      list.SpliceToFront(links_, *first, *std::prev(end));
+      // std::list::splice may not move a range to a position inside it.
+      if (at != 0) {
+        ref.splice(ref.begin(), ref, first, end);
+      }
     }
   }
 
@@ -236,6 +253,8 @@ TEST(IndexListTest, RandomOpsOnListsSharingLinksMatchStdList) {
   EXPECT_GT(coverage.head_inserts, 50u);
   EXPECT_GT(coverage.head_moves, 50u);
   EXPECT_GT(coverage.last_unlinks, 20u);
+  EXPECT_GT(coverage.head_splices, 50u);
+  EXPECT_GT(coverage.tail_splices, 50u);
 }
 
 TEST(IndexListTest, EdgeCases) {
@@ -256,6 +275,18 @@ TEST(IndexListTest, EdgeCases) {
   list.MoveToFront(links, 2);  // 2 1 0
   EXPECT_EQ(list.head(), 2u);
   EXPECT_EQ(list.tail(), 0u);
+  EXPECT_EQ(list.size(), 3u);
+  list.SpliceToFront(links, 2, 1);  // starts at the head: nothing moves
+  EXPECT_EQ(list.head(), 2u);
+  EXPECT_EQ(list.tail(), 0u);
+  EXPECT_EQ(links[1].next, 0u);
+  list.SpliceToFront(links, 1, 0);  // ends at the tail: 1 0 2
+  EXPECT_EQ(list.head(), 1u);
+  EXPECT_EQ(list.tail(), 2u);
+  EXPECT_EQ(links[1].prev, kNil);
+  EXPECT_EQ(links[0].next, 2u);
+  EXPECT_EQ(links[2].prev, 0u);
+  EXPECT_EQ(links[2].next, kNil);
   EXPECT_EQ(list.size(), 3u);
   for (const uint32_t n : {1u, 0u, 2u}) {
     list.Unlink(links, n);
