@@ -49,11 +49,14 @@ LayoutQuality ProbeLayout(Machine& machine, const std::string& path, Bytes size)
   if (!attr.ok()) {
     return quality;
   }
+  // The mapping reads are not charged; the plan is only somewhere to put
+  // them, so each page starts it empty.
   MetaIo io;
   BlockId last = kInvalidBlock;
   uint64_t adjacent = 0;
   const uint64_t pages = size / 4096;
   for (uint64_t page = 0; page < pages; ++page) {
+    io.Reset();
     const auto mapping = fs.MapPage(attr.value.ino, page, &io);
     if (!mapping.ok() || mapping.value == kInvalidBlock) {
       return quality;

@@ -169,7 +169,8 @@ int Run(const BenchArgs& args) {
     table.AddRow({cell.fs, cell.policy, FormatDouble(cell.rate, 3),
                   FormatDouble(cell.ops_per_second, 1),
                   FormatDouble(static_cast<double>(cell.p99) / kMillisecond, 2),
-                  std::to_string(cell.run.failed_ops), std::to_string(fault.retries),
+                  std::to_string(cell.run.failed_ops),
+                  std::to_string(cell.run.scheduler_stats.retries),
                   std::to_string(fault.remapped_regions), fault.remounted_ro ? "yes" : "-",
                   fault.journal_aborted ? "yes" : "-"});
   }
@@ -212,17 +213,17 @@ int Run(const BenchArgs& args) {
         static_cast<double>(cell.p99) / kMillisecond,
         static_cast<unsigned long long>(cell.run.ops),
         static_cast<unsigned long long>(cell.run.failed_ops),
-        static_cast<unsigned long long>(fault.device_errors),
+        static_cast<unsigned long long>(cell.run.disk_stats.errors),
         static_cast<unsigned long long>(fault.transient_faults),
         static_cast<unsigned long long>(fault.persistent_faults),
         static_cast<unsigned long long>(fault.slow_ios),
-        static_cast<unsigned long long>(fault.retries),
-        static_cast<double>(fault.retry_backoff_time) / kMillisecond,
+        static_cast<unsigned long long>(cell.run.scheduler_stats.retries),
+        static_cast<double>(cell.run.scheduler_stats.retry_backoff_time) / kMillisecond,
         static_cast<unsigned long long>(fault.remapped_regions),
         static_cast<unsigned long long>(fault.spare_regions_left),
         static_cast<unsigned long long>(fault.meta_io_failures),
-        static_cast<unsigned long long>(fault.degraded_reads),
-        static_cast<unsigned long long>(fault.readonly_rejects),
+        static_cast<unsigned long long>(cell.run.vfs_stats.degraded_reads),
+        static_cast<unsigned long long>(cell.run.vfs_stats.readonly_rejects),
         fault.remounted_ro ? "true" : "false", fault.journal_aborted ? "true" : "false",
         i + 1 < results.size() ? "," : "");
   }

@@ -16,59 +16,17 @@
 // bench FAILS (exit 1) if the counted region allocates. Wall time is real
 // time — this measures the harness, the observer-effect side of the paper's
 // argument (a benchmark that perturbs what it measures).
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/sim/machine.h"
+#include "src/util/alloc_counter.h"
 #include "src/util/ascii.h"
 #include "src/util/rng.h"
-
-// --- allocation counting hook ----------------------------------------------
-// Counts every global operator new. Single-threaded bench; relaxed atomics
-// keep the hook valid if a library thread ever appears.
-
-namespace {
-std::atomic<uint64_t> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align),
-                                   (size + static_cast<std::size_t>(align) - 1) &
-                                       ~(static_cast<std::size_t>(align) - 1))) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return ::operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace fsbench {
 namespace {
@@ -152,13 +110,13 @@ LoopResult RunMetadataMix(uint64_t iterations) {
   LoopResult result;
   result.loop = "metadata_mix";
   result.alloc_checked = true;
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = AllocCount();
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iterations; ++i) {
     one_pass(i);
   }
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  result.steady_allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  result.steady_allocs = AllocCount() - allocs_before;
   result.ops = iterations * 3;  // stat + open + close per pass (negative stat extra)
   result.seconds = elapsed.count();
   result.mops_per_sec = static_cast<double>(result.ops) / elapsed.count() / 1e6;
@@ -213,13 +171,13 @@ LoopResult RunCompileLike(uint64_t iterations) {
   LoopResult result;
   result.loop = "compile_like";
   result.alloc_checked = true;
-  const uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const uint64_t allocs_before = AllocCount();
   const auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < iterations; ++i) {
     one_pass(i);
   }
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-  result.steady_allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  result.steady_allocs = AllocCount() - allocs_before;
   result.ops = iterations * (3 + kFileSize / (4 * kKiB));  // stat+open+close+reads
   result.seconds = elapsed.count();
   result.mops_per_sec = static_cast<double>(result.ops) / elapsed.count() / 1e6;

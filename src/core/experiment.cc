@@ -116,7 +116,6 @@ RunResult Experiment::RunOnce(const MachineFactory& machine_factory,
   }
 
   FaultSummary& fault = result.fault;
-  fault.device_errors = result.disk_stats.errors;
   for (size_t d = 0; d < machine->device_count(); ++d) {
     if (const FaultPlan* plan = machine->disk(d).fault_plan(); plan != nullptr) {
       fault.transient_faults += plan->stats().transient_faults;
@@ -126,16 +125,9 @@ RunResult Experiment::RunOnce(const MachineFactory& machine_factory,
     fault.remapped_regions += machine->disk(d).remapped_regions();
     fault.spare_regions_left += machine->disk(d).spare_regions_left();
   }
-  fault.retries = result.scheduler_stats.retries;
-  fault.retry_backoff_time = result.scheduler_stats.retry_backoff_time;
-  fault.sync_io_failures = result.scheduler_stats.sync_errors;
-  fault.async_io_failures = result.scheduler_stats.async_errors;
   fault.meta_io_failures = machine->fs().meta_io_failures();
   fault.journal_aborted = machine->fs().journal_aborted();
   fault.remounted_ro = machine->fs().read_only();
-  fault.degraded_reads = result.vfs_stats.degraded_reads;
-  fault.readonly_rejects = result.vfs_stats.readonly_rejects;
-  fault.failed_ops = engine_result.failed_ops;
 
   if (engine_result.crashed) {
     CrashReport report =

@@ -77,25 +77,20 @@ struct ExperimentConfig {
   int jobs = 1;
 };
 
-// Flattened device-fault / degraded-mode record of one run, aggregated from
-// the disk, fault plan, scheduler, file system and VFS after the run ends.
+// Device-fault / degraded-mode state of one run that no stats struct of
+// RunResult holds, assembled from every device's fault plan and remap pool
+// and from the file system after the run ends. Device errors, retries,
+// backoff time and exhausted sync/async requests are in `disk_stats` and
+// `scheduler_stats`; degraded reads and read-only rejects in `vfs_stats`.
 struct FaultSummary {
-  uint64_t device_errors = 0;      // failed device accesses (all attempts)
   uint64_t transient_faults = 0;   // fault-plan transient verdicts
   uint64_t persistent_faults = 0;  // fault-plan persistent (bad-region) verdicts
   uint64_t slow_ios = 0;           // accesses hit by a slow-I/O fault
-  uint64_t retries = 0;            // block-layer re-attempts
-  Nanos retry_backoff_time = 0;    // virtual time spent backing off
   uint64_t remapped_regions = 0;   // regions moved into the spare pool
   uint64_t spare_regions_left = 0;
-  uint64_t sync_io_failures = 0;   // sync requests that exhausted the policy
-  uint64_t async_io_failures = 0;  // async requests that exhausted the policy
   uint64_t meta_io_failures = 0;   // metadata/log write failures seen by the fs
   bool journal_aborted = false;
   bool remounted_ro = false;
-  uint64_t degraded_reads = 0;     // reads served while remounted read-only
-  uint64_t readonly_rejects = 0;   // mutations refused with kReadOnly
-  uint64_t failed_ops = 0;         // workload ops absorbed by continue_on_error
 
   bool operator==(const FaultSummary& other) const = default;
 };

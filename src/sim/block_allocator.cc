@@ -170,29 +170,6 @@ std::optional<Extent> BlockAllocator::AllocateExtent(BlockId goal, uint64_t min_
   return run;
 }
 
-std::vector<Extent> BlockAllocator::AllocateBlocks(BlockId goal, uint64_t count) {
-  std::vector<Extent> extents;
-  if (free_blocks() < count) {
-    return extents;
-  }
-  uint64_t remaining = count;
-  BlockId cursor = goal;
-  while (remaining > 0) {
-    std::optional<Extent> run = AllocateExtent(cursor, 1, remaining);
-    if (!run.has_value()) {
-      // Should not happen given the up-front free-space check.
-      for (const Extent& e : extents) {
-        Free(e);
-      }
-      return {};
-    }
-    extents.push_back(*run);
-    remaining -= run->count;
-    cursor = run->start + run->count;
-  }
-  return extents;
-}
-
 void BlockAllocator::ReserveRange(const Extent& extent) {
   for (BlockId b = extent.start; b < extent.start + extent.count; ++b) {
     SetBit(b);

@@ -37,11 +37,6 @@ class BlockAllocator {
   // at least min_count exists anywhere.
   std::optional<Extent> AllocateExtent(BlockId goal, uint64_t min_count, uint64_t max_count);
 
-  // Allocates exactly `count` blocks near `goal`, possibly discontiguously.
-  // Returns the extents, or an empty vector if space is insufficient
-  // (in which case nothing is allocated).
-  std::vector<Extent> AllocateBlocks(BlockId goal, uint64_t count);
-
   // Marks a range allocated at mkfs time (superblock, inode tables, journal).
   // Requires the range to be entirely free.
   void ReserveRange(const Extent& extent);

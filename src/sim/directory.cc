@@ -1,7 +1,5 @@
 #include "src/sim/directory.h"
 
-#include "src/util/units.h"
-
 namespace fsbench {
 
 bool Directory::Insert(std::string_view name, InodeId ino) {
@@ -54,13 +52,6 @@ std::optional<uint64_t> Directory::SlotOf(std::string_view name) const {
     return std::nullopt;
   }
   return entry->slot;
-}
-
-uint64_t Directory::BlockCount(uint64_t entries_per_block) const {
-  if (slots_.empty()) {
-    return 1;  // an empty directory still occupies one block ("." / "..")
-  }
-  return CeilDiv(slots_.size(), entries_per_block);
 }
 
 std::vector<std::string> Directory::List() const {

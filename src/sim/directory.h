@@ -60,9 +60,6 @@ class Directory {
   // Number of slots in use including holes; determines block count.
   uint64_t slot_count() const { return slots_.size(); }
 
-  // Directory data blocks needed for `slot_count` slots.
-  uint64_t BlockCount(uint64_t entries_per_block) const;
-
   // Live names in slot order.
   std::vector<std::string> List() const;
 

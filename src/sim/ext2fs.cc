@@ -73,9 +73,9 @@ void Ext2Fs::ChargeDirLookup(const Inode& dir_inode, const Directory& dir, std::
     const uint64_t piece_end =
         std::find(map.begin() + page, map.begin() + stretch_end, kInvalidBlock) - map.begin();
     if (piece_end > page) {
-      const uint32_t begin = io->reads.size();
+      const uint32_t begin = static_cast<uint32_t>(io->reads.size());
       AddMappingReads(dir_inode, page, io);
-      const uint32_t chain = io->reads.size() - begin;
+      const uint32_t chain = static_cast<uint32_t>(io->reads.size()) - begin;
       const uint32_t pages = piece_end - page;
       if (pages == 1) {
         // One page is already in charge order: its chain, then the page.

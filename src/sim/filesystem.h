@@ -25,7 +25,6 @@
 #include "src/sim/inode_table.h"
 #include "src/sim/journal.h"
 #include "src/sim/readahead.h"
-#include "src/sim/small_vec.h"
 #include "src/sim/types.h"
 
 namespace fsbench {
@@ -67,19 +66,16 @@ struct MetaRun {
 // The I/O plan for one file-system operation. (MetaRef, the element type,
 // lives in types.h so the transaction log can name it too.)
 //
-// The lists are small-inline-capacity buffers (src/sim/small_vec.h): the
-// common operations fit inline, and anything larger (full-directory negative
-// scans, big truncates) spills into storage that a reused instance retains —
-// the VFS threads one scratch MetaIo through every call, so the steady-state
-// operation pipeline never heap-allocates here. Inline sizes are chosen from
-// the per-FS worst cases on the hit path: MapPage charges at most 4 reads
-// (inode table + triple-indirect chain), Create at most ~7 writes.
+// The VFS threads one scratch MetaIo through every call and Resets it
+// between operations. A vector keeps its capacity across clear(), so once
+// each list has held its largest plan, the steady-state operation pipeline
+// never heap-allocates here (tests/vfs_alloc_test.cc checks it).
 struct MetaIo {
-  SmallVec<MetaRef, 12> reads;         // must be resident or read from disk
-  SmallVec<MetaRun, 2> runs;           // page ranges, ascending by chain position
-  SmallVec<MetaRef, 8> writes;         // dirtied (journaled on ext3)
-  SmallVec<MetaRef, 4> invalidations;  // cache entries to drop (unlink, truncate)
-  SmallVec<InodeId, 2> drop_files;     // whole files whose pages must be dropped
+  std::vector<MetaRef> reads;          // must be resident or read from disk
+  std::vector<MetaRun> runs;           // page ranges, ascending by chain position
+  std::vector<MetaRef> writes;         // dirtied (journaled on ext3)
+  std::vector<MetaRef> invalidations;  // cache entries to drop (unlink, truncate)
+  std::vector<InodeId> drop_files;     // whole files whose pages must be dropped
 
   void AddMetaRead(BlockId block) { reads.push_back({kMetaInode, block, block}); }
   void AddMetaWrite(BlockId block) { writes.push_back({kMetaInode, block, block}); }
@@ -97,7 +93,8 @@ struct MetaIo {
     uint32_t i = 0;
     for (uint32_t r = 0;; ++r) {
       // The reads before the next run, one by one.
-      const uint32_t flat_end = r < runs.size() ? runs[r].begin : reads.size();
+      const uint32_t flat_end =
+          r < runs.size() ? runs[r].begin : static_cast<uint32_t>(reads.size());
       for (; i < flat_end; ++i) {
         if (!fn(reads[i])) {
           return false;
@@ -127,7 +124,7 @@ struct MetaIo {
     return ForEachRead(fn, [](const MetaRun&) { return false; });
   }
 
-  // Empties all five lists while keeping their spilled storage for reuse.
+  // Empties all five lists while keeping their capacity for reuse.
   void Reset() {
     reads.clear();
     runs.clear();

@@ -13,7 +13,6 @@
 #define SRC_SIM_SHADOW_DISK_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "src/sim/io_scheduler.h"
@@ -26,16 +25,6 @@ class ShadowDisk : public IoCompletionObserver {
   explicit ShadowDisk(uint32_t sectors_per_block) : sectors_per_block_(sectors_per_block) {}
 
   void OnIoComplete(const IoRequest& req, Nanos completion, bool ok) override;
-
-  // Completion time of the latest write covering `block`; nullopt if the
-  // block was never written (or only ever failed).
-  std::optional<Nanos> WriteCompletion(BlockId block) const {
-    const auto it = last_write_completion_.find(block);
-    if (it == last_write_completion_.end()) {
-      return std::nullopt;
-    }
-    return it->second;
-  }
 
   // Whether `block`'s latest write had completed by `t`. A never-written
   // block reports false: callers asking about it care about a write they

@@ -218,9 +218,9 @@ class Vfs : public CheckpointSink, public IoWriteErrorSink {
   size_t dirty_limit_;
   VfsStats stats_;
   // Reused scratch buffers, the per-Vfs arena of the operation pipeline: one
-  // MetaIo threaded through every FileSystem call (its SmallVec spill
-  // storage is retained across Reset, so a warmed-up Vfs never allocates on
-  // the hit path) and the writeback batch.
+  // MetaIo threaded through every FileSystem call (its vectors keep their
+  // capacity across Reset, so a warmed-up Vfs never allocates on the hit
+  // path) and the writeback batch.
   MetaIo meta_scratch_;
   std::vector<PageKey> run_keys_;  // one MetaRun's chain keys for PageCache::LookupRun
   std::vector<PageCache::Evicted> writeback_scratch_;

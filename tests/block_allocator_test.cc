@@ -94,26 +94,6 @@ TEST(BlockAllocatorTest, ExtentRespectsMinCount) {
   EXPECT_EQ(single->count, 1u);
 }
 
-TEST(BlockAllocatorTest, AllocateBlocksGathersFragments) {
-  BlockAllocator alloc(64, 64);
-  for (uint64_t b = 0; b < 64; b += 2) {
-    alloc.ReserveRange(Extent{b, 1});
-  }
-  const auto extents = alloc.AllocateBlocks(0, 10);
-  uint64_t total = 0;
-  for (const Extent& e : extents) {
-    total += e.count;
-  }
-  EXPECT_EQ(total, 10u);
-}
-
-TEST(BlockAllocatorTest, AllocateBlocksFailsAtomically) {
-  BlockAllocator alloc(16, 16);
-  alloc.ReserveRange(Extent{0, 10});
-  EXPECT_TRUE(alloc.AllocateBlocks(0, 7).empty());
-  EXPECT_EQ(alloc.used_blocks(), 10u);  // nothing leaked
-}
-
 TEST(BlockAllocatorTest, TrailingShortGroupAccounting) {
   BlockAllocator alloc(300, 128);  // groups: 128, 128, 44
   EXPECT_EQ(alloc.group_count(), 3u);

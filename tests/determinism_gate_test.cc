@@ -111,8 +111,8 @@ TEST_P(DeterminismGate, FaultyRunTwiceBitIdenticalDigest) {
   }
   // The gate must actually be exercising the fault machinery.
   for (const RunResult& run : first.runs) {
-    EXPECT_GT(run.fault.device_errors, 0u);
-    EXPECT_GT(run.fault.retries, 0u);
+    EXPECT_GT(run.disk_stats.errors, 0u);
+    EXPECT_GT(run.scheduler_stats.retries, 0u);
   }
   ASSERT_GE(first.runs.size(), 2u);
   EXPECT_FALSE(first.runs[0] == first.runs[1]);

@@ -52,17 +52,6 @@ TEST(DirectoryTest, HolesAreReused) {
   EXPECT_EQ(dir.slot_count(), 3u);
 }
 
-TEST(DirectoryTest, BlockCountGrowsWithSlots) {
-  Directory dir;
-  EXPECT_EQ(dir.BlockCount(64), 1u);  // empty dir still has one block
-  for (int i = 0; i < 64; ++i) {
-    dir.Insert('f' + std::to_string(i), i + 1);
-  }
-  EXPECT_EQ(dir.BlockCount(64), 1u);
-  dir.Insert("overflow", 1000);
-  EXPECT_EQ(dir.BlockCount(64), 2u);
-}
-
 TEST(DirectoryTest, ListReturnsLiveNamesInSlotOrder) {
   Directory dir;
   dir.Insert("a", 1);

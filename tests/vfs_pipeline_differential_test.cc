@@ -5,7 +5,7 @@
 // page cache): a fresh MetaIo per FileSystem call, ProcessMetaIo after every
 // path component, std::string copies of every component and leaf, a fresh
 // writeback vector per flush. The production Vfs replaces all of that with
-// reusable scratch (SmallVec MetaIo, accumulated walk processing,
+// reusable scratch (one reused MetaIo, accumulated walk processing,
 // string_view plumbing, the transparent directory index) — and this test
 // replays randomized namespace/data traces through both, asserting that op
 // results, VFS and disk stats counters, and the virtual clock stay
