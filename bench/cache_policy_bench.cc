@@ -4,8 +4,9 @@
 //
 // The workload is the cache's steady-state op mix as the VFS drives it: a
 // zipf-skewed touch stream (lookup, insert on miss, 20% of misses dirty),
-// periodic writeback drains (TakeDirty) and whole-file drops (RemoveFile) —
-// the create/delete pattern hot in postmark-like workloads. Wall time is
+// periodic writeback drains (TakeDirty) and whole-file drops (RemoveRange
+// over the file's pages, as the VFS drops an unlinked file) — the
+// create/delete pattern hot in postmark-like workloads. Wall time is
 // real time: this measures the harness itself, the observer-effect side of
 // the paper's argument.
 #include <chrono>
@@ -48,7 +49,7 @@ CacheBenchResult RunOne(EvictionPolicyKind kind, size_t capacity, uint64_t ops, 
       cache.TakeDirty(256, &writeback);
     }
     if ((op & 0xFFFFu) == 0xFFFFu) {
-      cache.RemoveFile(1 + rng.NextBelow(inodes));
+      cache.RemoveRange(1 + rng.NextBelow(inodes), 0, pages_per_inode);
     }
   }
   const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;

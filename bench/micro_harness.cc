@@ -119,9 +119,9 @@ void BM_PageCacheArcInsertEvict(benchmark::State& state) {
 BENCHMARK(BM_PageCacheArcInsertEvict);
 
 void BM_PageCacheRemoveFile(benchmark::State& state) {
-  // A 64-page file created and dropped against a 64k-page resident
-  // background — the create/delete pattern where the old implementation
-  // scanned the whole table per unlink.
+  // A 64-page file created and dropped by its page range against a
+  // 64k-page resident background — the create/delete pattern where an old
+  // implementation scanned the whole table per unlink.
   PageCache cache(/*capacity_pages=*/131072, EvictionPolicyKind::kLru);
   for (InodeId ino = 1; ino <= 1024; ++ino) {
     for (uint64_t i = 0; i < 64; ++i) {
@@ -133,7 +133,7 @@ void BM_PageCacheRemoveFile(benchmark::State& state) {
     for (uint64_t i = 0; i < 64; ++i) {
       cache.Insert(PageKey{next_ino, i}, i, false, nullptr);
     }
-    cache.RemoveFile(next_ino);
+    cache.RemoveRange(next_ino, 0, 64);
     ++next_ino;
   }
   benchmark::DoNotOptimize(cache.size());

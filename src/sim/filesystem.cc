@@ -273,10 +273,10 @@ FsStatus FileSystem::Unlink(InodeId parent, std::string_view name, MetaIo* io) {
   }
   if (inode->link_count == 0 ||
       (inode->type == FileType::kDirectory && inode->link_count <= 1)) {
+    io->drop_ranges.push_back({ino, 0, PageEnd(*inode)});
     FreeAllBlocks(*inode, io);
     io->AddMetaWrite(inode->itable_block);
     io->AddMetaWrite(InodeBitmapBlock(inode->group));
-    io->drop_files.push_back(ino);
     --group_inode_counts_[inode->group];
     inodes_.Erase(ino);
   }
@@ -306,13 +306,26 @@ FsStatus FileSystem::SetSize(InodeId ino, Bytes new_size, MetaIo* io) {
     return FsStatus::kIsDir;
   }
   if (new_size < inode->size) {
+    // FreePagesFrom invalidates only the mapped pages it frees (reporting
+    // their blocks to the journal); the range also drops cached hole pages.
     const uint64_t first_dead_page = CeilDiv(new_size, params_.block_size);
+    io->drop_ranges.push_back({ino, first_dead_page, PageEnd(*inode)});
     FreePagesFrom(*inode, first_dead_page, io);
   }
   inode->size = new_size;
   inode->mtime = Now();
   io->AddMetaWrite(inode->itable_block);
   return FsStatus::kOk;
+}
+
+uint64_t FileSystem::PageEnd(const Inode& inode) const {
+  uint64_t end = std::max<uint64_t>(CeilDiv(inode.size, params_.block_size),
+                                    inode.block_map.size());
+  if (!inode.extents.empty()) {
+    const FileExtent& last = inode.extents.back();
+    end = std::max(end, last.first_page + last.extent.count);
+  }
+  return end;
 }
 
 void FileSystem::AppendMetadataBlocks(std::vector<BlockId>* blocks) const {

@@ -63,6 +63,14 @@ struct MetaRun {
   }
 };
 
+// Pages [first_page, end_page) of inode `ino`, whose cached copies must be
+// dropped from both cache tiers (unlink, shrinking truncate).
+struct PageRange {
+  InodeId ino = kInvalidInode;
+  uint64_t first_page = 0;
+  uint64_t end_page = 0;
+};
+
 // The I/O plan for one file-system operation. (MetaRef, the element type,
 // lives in types.h so the transaction log can name it too.)
 //
@@ -75,7 +83,7 @@ struct MetaIo {
   std::vector<MetaRun> runs;           // page ranges, ascending by chain position
   std::vector<MetaRef> writes;         // dirtied (journaled on ext3)
   std::vector<MetaRef> invalidations;  // cache entries to drop (unlink, truncate)
-  std::vector<InodeId> drop_files;     // whole files whose pages must be dropped
+  std::vector<PageRange> drop_ranges;  // file page ranges to drop from the caches
 
   void AddMetaRead(BlockId block) { reads.push_back({kMetaInode, block, block}); }
   void AddMetaWrite(BlockId block) { writes.push_back({kMetaInode, block, block}); }
@@ -130,7 +138,7 @@ struct MetaIo {
     runs.clear();
     writes.clear();
     invalidations.clear();
-    drop_files.clear();
+    drop_ranges.clear();
   }
 };
 
@@ -186,8 +194,14 @@ class FileSystem {
   FsResult<std::vector<std::string>> ReadDir(InodeId dir, MetaIo* io);
 
   // Grows or shrinks the file size; shrinking frees whole pages past the new
-  // end and invalidates them.
+  // end and drops every cached page past it.
   FsStatus SetSize(InodeId ino, Bytes new_size, MetaIo* io);
+
+  // One past the last page of `inode` that a cache tier can hold: the
+  // largest of the pages the size covers, the block map's length and the
+  // end of the last extent. The last two cover mapped pages past EOF (an
+  // append cut short by ENOSPC, xfs's preallocated chunks).
+  uint64_t PageEnd(const Inode& inode) const;
 
   // --- Data mapping (per-FS) ---
 

@@ -17,7 +17,7 @@ void FlashTier::RehashForTest(size_t buckets) { slab_.Rehash(buckets); }
 void FlashTier::EraseNode(uint32_t n) {
   lru_.Unlink(links_, n);
   slab_.Erase(n);
-  slab_.Free(n);  // marks the key freed for RemoveFile's slab scan
+  slab_.Free(n);
 }
 
 bool FlashTier::LookupAndPromote(const PageKey& key) {
@@ -32,7 +32,6 @@ bool FlashTier::LookupAndPromote(const PageKey& key) {
 }
 
 void FlashTier::Insert(const PageKey& key) {
-  assert(key.ino != kInvalidInode);
   const uint32_t hash = PageSlab::Hash(key);
   const uint32_t existing = slab_.at(slab_.Probe(key, hash));
   if (existing != PageSlab::kNil) {
@@ -64,16 +63,9 @@ void FlashTier::Remove(const PageKey& key) {
   EraseNode(n);
 }
 
-void FlashTier::RemoveFile(InodeId ino) {
-  // Slab scan in node-index order: allocation history fixes the order, so
-  // the walk (and any future per-eviction charging downstream of it) is a
-  // pure function of the op sequence, never of the hash seed. O(slab) per
-  // call is fine — unlink is rare next to lookups, and the slab is bounded
-  // by the tier's capacity.
-  for (uint32_t n = 0; n < slab_.node_count(); ++n) {
-    if (slab_.key(n).ino == ino) {
-      EraseNode(n);
-    }
+void FlashTier::RemoveRange(InodeId ino, uint64_t first_page, uint64_t end_page) {
+  for (uint64_t page = first_page; page < end_page; ++page) {
+    Remove(PageKey{ino, page});
   }
 }
 

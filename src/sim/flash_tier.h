@@ -19,12 +19,11 @@
 //   slab_       PageKey ──hash──> node id n, plus keys, hashes, slots
 //   links_[n]   IndexList links of the LRU list
 //
-// A freed node's key has ino == kInvalidInode, never a legal tier key (pages
-// of real files have ino >= 1). Steady-state operation never allocates: the
-// slab is bounded by the capacity (the tier never holds more than
-// capacity_pages_ entries) and the table is sized for it up front.
-// RemoveFile scans the slab in node-id order, which allocation history
-// fixes, not the hash seed.
+// Steady-state operation never allocates: the slab is bounded by the
+// capacity (the tier never holds more than capacity_pages_ entries) and the
+// table is sized for it up front. RemoveRange probes each page of the range
+// the file system names, as the page cache does, so no walk depends on the
+// hash seed or on the slab's size.
 #ifndef SRC_SIM_FLASH_TIER_H_
 #define SRC_SIM_FLASH_TIER_H_
 
@@ -64,7 +63,8 @@ class FlashTier {
   void Insert(const PageKey& key);
 
   void Remove(const PageKey& key);
-  void RemoveFile(InodeId ino);
+  // One Remove per page {ino, p}, first_page <= p < end_page.
+  void RemoveRange(InodeId ino, uint64_t first_page, uint64_t end_page);
   void Clear();
 
   // Forces the identity table to at least `buckets` slots. Tier behaviour

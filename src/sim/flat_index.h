@@ -1,6 +1,6 @@
 // Open-addressing index of 32-bit ids: the one hash table behind the
-// simulator's keyed slabs (PageCache pages and per-inode chains, FlashTier
-// pages, InodeTable inodes, Directory names).
+// simulator's keyed slabs (PageCache and FlashTier pages, InodeTable
+// inodes, Directory names).
 //
 // Owners keep their keys in a slab of their own and store only slab ids
 // here, so a slot is 4 bytes whatever the key. The index never sees a key;

@@ -15,7 +15,6 @@ PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
   slab_.Reserve(max_nodes);
   list_meta_.reserve(max_nodes);
   links_.reserve(max_nodes);
-  ino_links_.reserve(max_nodes);
   dirty_links_.reserve(max_nodes);
   blocks_.reserve(max_nodes);
 }
@@ -28,7 +27,6 @@ uint32_t PageCache::NewNode(const PageKey& key, uint32_t hash) {
     assert(n < geometry_.max_live_nodes);
     list_meta_.push_back(0);
     links_.emplace_back();
-    ino_links_.emplace_back();
     dirty_links_.emplace_back();
     blocks_.push_back(kInvalidBlock);
   }
@@ -44,46 +42,6 @@ void PageCache::DropNode(uint32_t n) {
   // node when NewNode hands it out again.
   list_meta_[n] = static_cast<uint8_t>(CacheListId::kNone);
   --live_count_;
-}
-
-// --- per-inode chain --------------------------------------------------------
-
-void PageCache::InodeChainLink(uint32_t n) {
-  const InodeId ino = slab_.key(n).ino;
-  const size_t slot = InodeProbe(ino);
-  const uint32_t head = inode_index_.at(slot);
-  if (head == kNil) {
-    inode_index_.Insert(slot, n, HashInode(ino),
-                        [this](uint32_t h) { return HashInode(slab_.key(h).ino); });
-    ino_links_[n] = IndexLink{};
-    return;
-  }
-  ino_links_[n].prev = kNil;
-  ino_links_[n].next = head;
-  ino_links_[head].prev = n;
-  inode_index_.Replace(slot, n);
-}
-
-void PageCache::InodeChainUnlink(uint32_t n) {
-  IndexLink& link = ino_links_[n];
-  if (link.prev != kNil) {
-    ino_links_[link.prev].next = link.next;
-  } else {
-    const size_t slot = InodeProbe(slab_.key(n).ino);
-    if (link.next == kNil) {
-      InodeIndexErase(slot);
-    } else {
-      inode_index_.Replace(slot, link.next);
-    }
-  }
-  if (link.next != kNil) {
-    ino_links_[link.next].prev = link.prev;
-  }
-  link.prev = link.next = kNil;
-}
-
-void PageCache::InodeIndexErase(size_t slot) {
-  inode_index_.Erase(slot, [this](uint32_t head) { return HashInode(slab_.key(head).ino); });
 }
 
 // --- policy transitions -----------------------------------------------------
@@ -252,7 +210,6 @@ void PageCache::EvictOne(EvictedBatch* evicted) {
     DirtyChainUnlink(victim);
     ++stats_.dirty_evictions;
   }
-  InodeChainUnlink(victim);
   --resident_count_;
   ++resident_epoch_;
   ++stats_.evictions;
@@ -271,22 +228,15 @@ void PageCache::PrefetchVictimHint() const {
   slab_.Prefetch(hint);
   __builtin_prefetch(&blocks_[hint]);
   __builtin_prefetch(&list_meta_[hint]);
-  // Eviction unsplices the victim from its policy list and inode chain; pull
-  // the neighbour links forward as well so the second level of the pointer
-  // chase also overlaps the probe.
+  // Eviction unsplices the victim from its policy list; pull the neighbour
+  // links forward as well so the second level of the pointer chase also
+  // overlaps the probe.
   const IndexLink link = links_[hint];
   if (link.prev != kNil) {
     __builtin_prefetch(&links_[link.prev]);
   }
   if (link.next != kNil) {
     __builtin_prefetch(&links_[link.next]);
-  }
-  const IndexLink ino_link = ino_links_[hint];
-  if (ino_link.prev != kNil) {
-    __builtin_prefetch(&ino_links_[ino_link.prev]);
-  }
-  if (ino_link.next != kNil) {
-    __builtin_prefetch(&ino_links_[ino_link.next]);
   }
 }
 
@@ -349,7 +299,6 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
     slab_.Insert(slot, n);
     PolicyInsertNew(n);
   }
-  InodeChainLink(n);
   ++resident_count_;
   if (dirty) {
     DirtyChainAppend(n);
@@ -477,15 +426,12 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
   return true;
 }
 
-size_t PageCache::TakeDirtyFile(InodeId ino, std::vector<Evicted>* out) {
+size_t PageCache::TakeDirtyFile(InodeId ino, uint64_t end_page, std::vector<Evicted>* out) {
   out->clear();
-  // Chain order (most recently inserted first); callers that care about
-  // device ordering sort by block, as the VFS writeback path does.
-  for (uint32_t n = inode_index_.at(InodeProbe(ino)); n != kNil; n = ino_links_[n].next) {
-    if (IsDirty(n)) {
-      out->push_back(Evicted{slab_.key(n), blocks_[n], true});
-      DirtyChainUnlink(n);
-    }
+  // Page order; callers that care about device ordering sort by block, as
+  // the VFS writeback path does.
+  for (uint64_t page = 0; page < end_page; ++page) {
+    TakeDirtyPage(PageKey{ino, page}, out);
   }
   return out->size();
 }
@@ -510,12 +456,9 @@ size_t PageCache::TakeDirty(size_t max_pages, std::vector<Evicted>* out) {
   return out->size();
 }
 
-void PageCache::RemoveResidentNode(uint32_t n, bool maintain_inode_chain) {
+void PageCache::RemoveResidentNode(uint32_t n) {
   if (IsDirty(n)) {
     DirtyChainUnlink(n);
-  }
-  if (maintain_inode_chain) {
-    InodeChainUnlink(n);
   }
   if (kind_ == EvictionPolicyKind::kClock && clock_hand_ == n) {
     clock_hand_ = links_[n].next;
@@ -531,20 +474,15 @@ void PageCache::Remove(const PageKey& key) {
   if (n == kNil || !IsResidentNode(n)) {
     return;
   }
-  RemoveResidentNode(n, /*maintain_inode_chain=*/true);
+  RemoveResidentNode(n);
 }
 
-void PageCache::RemoveFile(InodeId ino) {
-  const size_t slot = InodeProbe(ino);
-  uint32_t n = inode_index_.at(slot);
-  if (n == kNil) {
-    return;
-  }
-  InodeIndexErase(slot);
-  while (n != kNil) {
-    const uint32_t next = ino_links_[n].next;
-    RemoveResidentNode(n, /*maintain_inode_chain=*/false);
-    n = next;
+void PageCache::RemoveRange(InodeId ino, uint64_t first_page, uint64_t end_page) {
+  // The order of the removals is not observable: the table ends up as if
+  // the keys had never been inserted, and CLOCK's hand lands on the first
+  // surviving successor either way.
+  for (uint64_t page = first_page; page < end_page; ++page) {
+    Remove(PageKey{ino, page});
   }
 }
 
@@ -557,10 +495,9 @@ void PageCache::Clear() {
   };
   for (const CacheListId id : kResidentLists) {
     while (AnchorOf(id).head() != kNil) {
-      RemoveResidentNode(AnchorOf(id).head(), /*maintain_inode_chain=*/false);
+      RemoveResidentNode(AnchorOf(id).head());
     }
   }
-  inode_index_.Clear();
   clock_hand_ = kNil;
   assert(resident_count_ == 0 && dirty_.size() == 0);
 }
@@ -590,9 +527,7 @@ bool PageCache::CheckInvariants(const char** why) const {
         *why = "list tag or back-link inconsistent";
         return false;
       }
-      if (IsGhostList(ListOf(n)) &&
-          (IsDirty(n) || blocks_[n] != kInvalidBlock || ino_links_[n].next != kNil ||
-           ino_links_[n].prev != kNil)) {
+      if (IsGhostList(ListOf(n)) && (IsDirty(n) || blocks_[n] != kInvalidBlock)) {
         *why = "ghost node carries resident state";
         return false;
       }
@@ -631,34 +566,6 @@ bool PageCache::CheckInvariants(const char** why) const {
   }
   if (dirty_seen != dirty_.size() || dirty_.tail() != dirty_prev) {
     *why = "dirty chain length or tail mismatch";
-    return false;
-  }
-  // Inode chains: together they cover exactly the resident set. The walk
-  // tallies and checks each chain on its own, so the verdict is the same in
-  // any slot order.
-  size_t chained = 0;
-  // detlint: order-insensitive
-  for (const uint32_t head : inode_index_) {
-    if (head == kNil) {
-      continue;
-    }
-    const InodeId ino = slab_.key(head).ino;
-    if (inode_index_.at(InodeProbe(ino)) != head) {
-      *why = "inode index probe does not resolve to the chain head";
-      return false;
-    }
-    uint32_t ino_prev = kNil;
-    for (uint32_t n = head; n != kNil; n = ino_links_[n].next) {
-      if (slab_.key(n).ino != ino || !IsResidentNode(n) || ino_links_[n].prev != ino_prev) {
-        *why = "inode chain member inconsistent";
-        return false;
-      }
-      ino_prev = n;
-      ++chained;
-    }
-  }
-  if (chained != resident_count_) {
-    *why = "inode chains do not cover the resident set";
     return false;
   }
   if (!slab_.CheckPopulation(live_count_)) {

@@ -14,7 +14,6 @@
 //   slab_           PageKey ──hash──> node id n, plus keys, hashes, slots
 //   list_meta_[n]   packed {list id, dirty, referenced} byte
 //   links_[n]       IndexList links of the policy list tagged by the list id
-//   ino_links_[n]   per-inode chain (resident nodes)
 //   dirty_links_[n] IndexList links of the dirty FIFO (resident dirty nodes)
 //   blocks_[n]      backing device block
 //
@@ -25,12 +24,12 @@
 //   - Insert: one probe on the hit path; the miss path re-probes once after
 //     eviction has mutated the table, and reports victims into a caller
 //     buffer instead of a heap-allocated vector.
-//   - RemoveFile: walks the per-inode chain, O(resident pages of the file).
+//   - RemoveRange / TakeDirtyFile: one probe per page of the range the file
+//     system names (FileSystem::PageEnd bounds a file's cached pages).
 //   - TakeDirty: pops the dirty chain head, O(pages taken), in deterministic
 //     first-dirtied order (FIFO writeback).
 // The slab and table are pre-sized from PolicyGeometry::max_live_nodes, so
-// steady-state operation never allocates or rehashes. A second FlatIndex,
-// inode_index_, maps each inode to the head node of its chain.
+// steady-state operation never allocates or rehashes.
 //
 // Run memo: LookupRun keeps the node ids of the last few runs it resolved
 // (run_memo_, replaced round-robin), so a repeated directory scan skips its
@@ -138,12 +137,12 @@ class PageCache {
     return out;
   }
 
-  // Collects every dirty page of one file into `out` (cleared first),
-  // marking them clean; other files' dirty pages are untouched. Walks the
-  // file's per-inode resident chain — O(resident pages of the file) — which
-  // is what lets Fsync write back exactly one file instead of draining the
-  // global dirty set. Returns the number taken.
-  size_t TakeDirtyFile(InodeId ino, std::vector<Evicted>* out);
+  // Collects the dirty pages {ino, p}, p < end_page, into `out` (cleared
+  // first) in page order, marking them clean; other files' dirty pages are
+  // untouched. One probe per page: Fsync passes the file's
+  // FileSystem::PageEnd, so it writes back exactly one file instead of
+  // draining the global dirty set. Returns the number taken.
+  size_t TakeDirtyFile(InodeId ino, uint64_t end_page, std::vector<Evicted>* out);
 
   // Takes one specific page if it is resident and dirty, appending it to
   // `out` (NOT cleared) and marking it clean. Fsync uses this for the
@@ -153,12 +152,13 @@ class PageCache {
 
   size_t dirty_count() const { return dirty_.size(); }
 
-  // Invalidates one page / every page of a file / everything. Dirty contents
-  // are discarded (callers invalidate after freeing blocks, as unlink does).
-  // Ghost entries are untouched, matching the policies' view that a dropped
-  // page was still "seen recently".
+  // Invalidates one page / pages [first_page, end_page) of a file /
+  // everything. Dirty contents are discarded (callers invalidate after
+  // freeing blocks, as unlink does). Ghost entries are untouched, matching
+  // the policies' view that a dropped page was still "seen recently".
+  // RemoveRange is one Remove per page of the range.
   void Remove(const PageKey& key);
-  void RemoveFile(InodeId ino);
+  void RemoveRange(InodeId ino, uint64_t first_page, uint64_t end_page);
   void Clear();
 
   size_t size() const { return resident_count_; }
@@ -174,7 +174,7 @@ class PageCache {
   // assert ghost-hit adaptation against a reference implementation.
   double arc_target_t1() const { return arc_p_; }
 
-  // Deep structural check for tests: list/chain/table/count consistency.
+  // Deep structural check for tests: list/table/count consistency.
   // On failure, `why` (when non-null) names the violated invariant.
   bool CheckInvariants(const char** why = nullptr) const;
 
@@ -213,16 +213,6 @@ class PageCache {
   void ListUnlink(uint32_t n) { AnchorOf(ListOf(n)).Unlink(links_, n); }
   void ListMoveToFront(uint32_t n) { AnchorOf(ListOf(n)).MoveToFront(links_, n); }
 
-  // --- per-inode chain ---
-  // inode_index_ holds each chain's head node; the head's key names the inode.
-  size_t InodeProbe(InodeId ino) const {
-    return inode_index_.Probe(HashInode(ino),
-                              [this, ino](uint32_t head) { return slab_.key(head).ino == ino; });
-  }
-  void InodeChainLink(uint32_t n);
-  void InodeChainUnlink(uint32_t n);
-  void InodeIndexErase(size_t slot);
-
   // --- dirty FIFO ---
   void DirtyChainAppend(uint32_t n) {
     list_meta_[n] |= kDirtyBit;
@@ -248,7 +238,7 @@ class PageCache {
   void PrefetchVictimHint() const;        // overlap victim lines with the probe
   void PolicyDemoteVictim(uint32_t n);    // ghost transition or free
   void EvictOne(EvictedBatch* evicted);
-  void RemoveResidentNode(uint32_t n, bool maintain_inode_chain);
+  void RemoveResidentNode(uint32_t n);
   void FreeGhostNode(uint32_t n);
 
   // --- run memo ---
@@ -281,7 +271,6 @@ class PageCache {
   PageSlab slab_;
   std::vector<uint8_t> list_meta_;
   std::vector<IndexLink> links_;
-  std::vector<IndexLink> ino_links_;
   std::vector<IndexLink> dirty_links_;
   std::vector<BlockId> blocks_;
 
@@ -291,8 +280,6 @@ class PageCache {
   IndexList lists_[kNumCacheLists];
   uint32_t clock_hand_ = kNil;  // kNil doubles as the ring's "end" position
   double arc_p_ = 0.0;
-
-  FlatIndex inode_index_;
 
   IndexList dirty_;  // head: oldest first-dirtied page
 

@@ -6,8 +6,8 @@
 // live ids:
 //
 //   table_      PageKey ──hash──> node id n (linear probe, backward shift)
-//   keys_[n]    identity, compared while probing; ino == kInvalidInode once
-//               the node is freed (pages of real files have ino >= 1)
+//   keys_[n]    identity, compared while probing; a freed node keeps its
+//               last key, which nothing reads until Alloc overwrites it
 //   hashes_[n]  cached key hash (backward-shift homes)
 //   slots_[n]   live node: its table slot (probe-free erase);
 //               free node: the next id on the free list
@@ -100,7 +100,6 @@ class PageSlab {
 
   // Puts erased node n on the free list.
   void Free(uint32_t n) {
-    keys_[n].ino = kInvalidInode;
     slots_[n] = free_top_;
     free_top_ = n;
   }

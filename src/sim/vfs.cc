@@ -166,10 +166,10 @@ FsStatus Vfs::ProcessMetaIo(const MetaIo& io) {
       }
     }
   }
-  for (const InodeId ino : io.drop_files) {
-    cache_.RemoveFile(ino);
+  for (const PageRange& range : io.drop_ranges) {
+    cache_.RemoveRange(range.ino, range.first_page, range.end_page);
     if (flash_ != nullptr) {
-      flash_->RemoveFile(ino);
+      flash_->RemoveRange(range.ino, range.first_page, range.end_page);
     }
   }
   return FsStatus::kOk;
@@ -743,17 +743,19 @@ FsStatus Vfs::Fsync(int fd) {
   }
   ++stats_.fsyncs;
   clock_->Advance(scaled_syscall_);
-  // Per-file writeback: walk the page cache's per-inode chain for this
-  // file's dirty pages only. (The old pipeline flushed the entire dirty
-  // set — stricter than POSIX, and it penalised every other file's
-  // writeback clustering.)
-  cache_.TakeDirtyFile(file->ino, &writeback_scratch_);
+  // Per-file writeback: this file's dirty pages only, probed over the page
+  // range the file system says it can have cached. (The old pipeline
+  // flushed the entire dirty set — stricter than POSIX, and it penalised
+  // every other file's writeback clustering.)
+  const Inode* inode = fs_->FindInode(file->ino);
+  cache_.TakeDirtyFile(file->ino, inode != nullptr ? fs_->PageEnd(*inode) : 0,
+                       &writeback_scratch_);
   // POSIX fsync also makes the file's *metadata* durable: its inode-table
   // block and mapping meta blocks (indirect / extent nodes), all keyed
   // under kMetaInode. Shared metadata stays background — bitmaps belong to
   // the allocator, and the parent dirent's durability is the directory's
   // own fsync, as POSIX has it.
-  if (const Inode* inode = fs_->FindInode(file->ino); inode != nullptr) {
+  if (inode != nullptr) {
     cache_.TakeDirtyPage(PageKey{kMetaInode, inode->itable_block}, &writeback_scratch_);
     for (const BlockId block : inode->indirect_blocks) {
       if (block != kInvalidBlock) {

@@ -98,8 +98,9 @@ class Vfs : public CheckpointSink, public IoWriteErrorSink {
   FsResult<FileAttr> Stat(std::string_view path);
   FsResult<std::vector<std::string>> ReadDir(std::string_view path);
   FsStatus Truncate(std::string_view path, Bytes new_size);
-  // Writes back this file's dirty pages (per-file, via the page cache's
-  // per-inode chain) and commits the journal; waits for idle disk.
+  // Writes back this file's dirty pages (per-file: the page cache probes the
+  // file's FileSystem::PageEnd range) and commits the journal; waits for
+  // idle disk.
   FsStatus Fsync(int fd);
   // Flushes all dirty pages and commits the journal; waits for idle disk.
   void SyncAll();

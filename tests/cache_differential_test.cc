@@ -121,7 +121,7 @@ TEST_P(CacheDifferential, IdenticalVictimSequencesOverRandomTrace) {
       }
     } else {
       const InodeId ino = 1 + rng.NextBelow(inodes);
-      cache.RemoveFile(ino);
+      cache.RemoveRange(ino, 0, pages_per_inode);
       oracle.RemoveFile(ino);
     }
 
@@ -142,8 +142,9 @@ TEST_P(CacheDifferential, IdenticalVictimSequencesOverRandomTrace) {
   }
 }
 
-// A denser unlink-heavy trace: RemoveFile interleaved with inserts, the
-// create/delete pattern where the old full-table scan was hottest.
+// A denser unlink-heavy trace: whole-file drops interleaved with inserts,
+// the create/delete pattern where the old full-table scan was hottest. The
+// cache drops a file as the VFS does, by the range of pages it can hold.
 TEST_P(CacheDifferential, RemoveFileLockstep) {
   const TraceParam param = GetParam();
   PageCache cache(param.capacity, param.kind);
@@ -165,7 +166,7 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
       }
     } else {
       const InodeId ino = 1 + rng.NextBelow(3);
-      cache.RemoveFile(ino);
+      cache.RemoveRange(ino, 0, param.capacity * 2);
       oracle.RemoveFile(ino);
     }
     ASSERT_EQ(cache.size(), oracle.size()) << "step " << step;
@@ -174,7 +175,7 @@ TEST_P(CacheDifferential, RemoveFileLockstep) {
 }
 
 // LookupRun against the lookups it stands for. The usual insert, lookup,
-// remove and RemoveFile mix is interleaved with runs of 1-3 chain keys, drawn
+// remove and whole-file drop mix is interleaved with runs of 1-3 chain keys, drawn
 // from the resident set with repeats (of each other and of the run's own
 // pages), and a range of 1-40 pages of one inode anchored on a resident page.
 // Two runs in five are mixed: their chains also draw recent victims (ghosts
@@ -232,7 +233,7 @@ TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
       oracle.Remove(key);
     } else if (action < 0.52) {
       const InodeId ino = 1 + rng.NextBelow(inodes);
-      cache.RemoveFile(ino);
+      cache.RemoveRange(ino, 0, pages_per_inode);
       oracle.RemoveFile(ino);
     } else {
       resident.clear();
@@ -325,8 +326,8 @@ TEST_P(CacheDifferential, LookupRunMatchesExpandedLookups) {
 // not its chain, or share its start but not its length.
 // Between runs the trace makes single hits on run pages (which break
 // blocks), inserts new keys (which evict once the cache is full), and makes
-// Remove of a run page and of another page, RemoveFile of a run's inode and
-// Clear. A run that fails is charged one lookup at a time with an insert on
+// Remove of a run page and of another page, a whole-file drop of a run's
+// inode and Clear. A run that fails is charged one lookup at a time with an insert on
 // each miss, as the VFS does, so it becomes resident again. Every step
 // compares with the reference policies and runs CheckInvariants, which also
 // checks the memo's entries against the table.
@@ -452,7 +453,7 @@ TEST_P(RunMemoDifferential, RepeatedRunsMatchExpandedLookups) {
       for (uint64_t index = 0; index < 224; ++index) {
         losses += oracle.Contains(PageKey{ino, index}) ? 1 : 0;
       }
-      cache.RemoveFile(ino);
+      cache.RemoveRange(ino, 0, 224);
       oracle.RemoveFile(ino);
     } else {
       losses += oracle.size();

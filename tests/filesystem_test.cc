@@ -91,12 +91,18 @@ TEST_P(FileSystemSweep, UnlinkFreesEverything) {
   }
   ASSERT_EQ(fs_->SetSize(file.value, 40 * 4096, &io), FsStatus::kOk);
   const uint64_t used_before = fs_->allocator().used_blocks();
+  // 40 pages, or xfs's 16-page allocation chunks: 48.
+  const uint64_t page_end = fs_->PageEnd(*fs_->FindInode(file.value));
+  EXPECT_EQ(page_end, GetParam() == FsKind::kXfs ? 48u : 40u);
   MetaIo unlink_io;
   ASSERT_EQ(fs_->Unlink(kRootInode, "file", &unlink_io), FsStatus::kOk);
   EXPECT_LT(fs_->allocator().used_blocks(), used_before);
   EXPECT_EQ(fs_->FindInode(file.value), nullptr);
-  ASSERT_EQ(unlink_io.drop_files.size(), 1u);
-  EXPECT_EQ(unlink_io.drop_files[0], file.value);
+  // The caches drop every page the file could have cached.
+  ASSERT_EQ(unlink_io.drop_ranges.size(), 1u);
+  EXPECT_EQ(unlink_io.drop_ranges[0].ino, file.value);
+  EXPECT_EQ(unlink_io.drop_ranges[0].first_page, 0u);
+  EXPECT_EQ(unlink_io.drop_ranges[0].end_page, page_end);
   std::string error;
   EXPECT_TRUE(fs_->CheckConsistency(&error)) << error;
 }

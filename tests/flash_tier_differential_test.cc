@@ -129,7 +129,7 @@ TEST(FlashTierDifferentialTest, RandomOpsMatchListAndMapReference) {
         break;
       case 1:
       case 2:  // occasional whole-file purge
-        tier.RemoveFile(ino);
+        tier.RemoveRange(ino, 0, kPagesPerFile);
         ref.RemoveFile(ino);
         break;
       case 3:

@@ -17,12 +17,13 @@ FlashTierConfig SmallTier(size_t pages) {
 
 PageKey Key(uint64_t index) { return PageKey{1, index}; }
 
-// RemoveFile (and everything downstream of it) must not depend on the hash
-// table's bucket count: two tiers — one freshly built, one pre-rehashed to a
-// much larger table, so every key lands in different buckets in a different
-// order — are driven through an identical op sequence with a mid-stream
-// RemoveFile, and must agree on every stat and every membership probe. This
-// is the regression test for the old hash-order RemoveFile walk.
+// Dropping a file (and everything downstream of it) must not depend on the
+// hash table's bucket count: two tiers — one freshly built, one pre-rehashed
+// to a much larger table, so every key lands in different buckets in a
+// different order — are driven through an identical op sequence with a
+// mid-stream RemoveRange over the file's pages, and must agree on every stat
+// and every membership probe. This is the regression test for the old
+// hash-order whole-file walk.
 TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
   const FlashTierConfig config = SmallTier(32);
   FlashTier fresh(config);
@@ -30,13 +31,13 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
   rehashed.RehashForTest(4096);
 
   auto drive = [](FlashTier& tier) {
-    // Interleave three files so RemoveFile has scattered matches.
+    // Interleave three files so the drop has scattered matches.
     for (uint64_t i = 0; i < 24; ++i) {
       tier.Insert(PageKey{1, i});
       tier.Insert(PageKey{2, i});
       tier.Insert(PageKey{3, i});  // overflows capacity: evictions
     }
-    tier.RemoveFile(2);
+    tier.RemoveRange(2, 0, 24);
     // Post-removal traffic: hit/miss pattern and further evictions must be
     // unaffected by the bucket count the removal walked.
     for (uint64_t i = 0; i < 24; ++i) {
@@ -103,7 +104,7 @@ TEST(FlashTierTest, RemoveAndRemoveFile) {
   tier.Insert(PageKey{2, 0});
   tier.Remove(PageKey{1, 0});
   EXPECT_FALSE(tier.Contains(PageKey{1, 0}));
-  tier.RemoveFile(1);
+  tier.RemoveRange(1, 0, 2);
   EXPECT_FALSE(tier.Contains(PageKey{1, 1}));
   EXPECT_TRUE(tier.Contains(PageKey{2, 0}));
   tier.Clear();

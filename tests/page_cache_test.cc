@@ -101,7 +101,7 @@ TEST(PageCacheTest, RemoveFileDropsAllItsPages) {
     cache.Insert(Key(1, i), i, i % 2 == 0);
     cache.Insert(Key(2, i), 100 + i, false);
   }
-  cache.RemoveFile(1);
+  cache.RemoveRange(1, 0, 4);
   EXPECT_EQ(cache.size(), 4u);
   for (uint64_t i = 0; i < 4; ++i) {
     EXPECT_FALSE(cache.Contains(Key(1, i)));
@@ -206,8 +206,8 @@ TEST(PageCacheTest, RemoveFileLeavesOtherInodeChainsIntact) {
       cache.Insert(Key(ino, i), ino * 100 + i, ino % 3 == 0);
     }
   }
-  cache.RemoveFile(7);
-  cache.RemoveFile(7);  // second drop of the same inode is a no-op
+  cache.RemoveRange(7, 0, 8);
+  cache.RemoveRange(7, 0, 8);  // second drop of the same range is a no-op
   EXPECT_EQ(cache.size(), 15u * 8u);
   for (uint64_t i = 0; i < 8; ++i) {
     EXPECT_FALSE(cache.Contains(Key(7, i)));

@@ -401,8 +401,9 @@ class ReferenceVfs {
     ++stats_.fsyncs;
     ChargeCpu(config_.syscall_overhead);
     std::vector<PageCache::Evicted> batch;
-    cache_.TakeDirtyFile(file->ino, &batch);
-    if (const Inode* inode = fs_->FindInode(file->ino); inode != nullptr) {
+    const Inode* inode = fs_->FindInode(file->ino);
+    cache_.TakeDirtyFile(file->ino, inode != nullptr ? fs_->PageEnd(*inode) : 0, &batch);
+    if (inode != nullptr) {
       cache_.TakeDirtyPage(PageKey{kMetaInode, inode->itable_block}, &batch);
       for (const BlockId block : inode->indirect_blocks) {
         if (block != kInvalidBlock) {
@@ -597,8 +598,8 @@ class ReferenceVfs {
         journal->NoteHomeWrite(ref.block);
       }
     }
-    for (const InodeId ino : io.drop_files) {
-      cache_.RemoveFile(ino);
+    for (const PageRange& range : io.drop_ranges) {
+      cache_.RemoveRange(range.ino, range.first_page, range.end_page);
     }
     return FsStatus::kOk;
   }

@@ -518,6 +518,64 @@ TEST_P(VfsFsSweep, ReadAndWriteOnDirectoryFailWithEisdir) {
   EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
 }
 
+// The number of pages {ino, p}, p < end, resident in the page cache.
+size_t ResidentPages(const Vfs& vfs, InodeId ino, uint64_t end) {
+  size_t resident = 0;
+  for (uint64_t page = 0; page < end; ++page) {
+    resident += vfs.cache().Contains(PageKey{ino, page}) ? 1 : 0;
+  }
+  return resident;
+}
+
+// A shrinking truncate drops every cached page past the new end, hole pages
+// included. The file grows sparse by Truncate, so reading pages 4-7 caches
+// four zero-filled hole pages that no block backs; the file system frees
+// (and invalidates) only mapped pages, so the truncate's page range is what
+// drops them.
+TEST_P(VfsFsSweep, ShrinkingTruncateDropsCachedHolePages) {
+  VfsFixture f(GetParam());
+  constexpr Bytes kPage = 4 * kKiB;
+  ASSERT_EQ(f.vfs->CreateFile("/f"), FsStatus::kOk);
+  ASSERT_EQ(f.vfs->Truncate("/f", 8 * kPage), FsStatus::kOk);
+  const auto fd = f.vfs->Open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(f.vfs->Read(fd.value, 4 * kPage, 4 * kPage).ok());
+  const InodeId ino = f.vfs->Stat("/f").value.ino;
+  ASSERT_EQ(ResidentPages(*f.vfs, ino, 8), 4u);
+
+  ASSERT_EQ(f.vfs->Truncate("/f", 2 * kPage), FsStatus::kOk);
+  EXPECT_EQ(ResidentPages(*f.vfs, ino, 8), 0u);
+  std::string error;
+  EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
+  EXPECT_TRUE(f.vfs->cache().CheckInvariants());
+}
+
+// An append cut short by ENOSPC leaves the pages it already wrote dirty in
+// the cache, mapped past EOF: the size moves only once every page of the
+// write has a block. Unlink must drop every one of them.
+TEST_P(VfsFsSweep, UnlinkDropsDirtyPagesAnEnospcAppendLeftPastEof) {
+  // One 64 MiB group: 256 header blocks, and 8,192 log blocks on ext3/xfs.
+  constexpr Bytes kSmallDevice = 64 * kMiB;
+  constexpr uint64_t kDevicePages = kSmallDevice / (4 * kKiB);
+  VfsFixture f(GetParam(), VfsConfig{}, kSmallDevice);
+  ASSERT_EQ(f.vfs->CreateFile("/f"), FsStatus::kOk);
+  const auto fd = f.vfs->Open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_EQ(f.vfs->Write(fd.value, 0, kSmallDevice).status, FsStatus::kNoSpace);
+  const auto attr = f.vfs->Stat("/f");
+  ASSERT_TRUE(attr.ok());
+  ASSERT_EQ(attr.value.size, 0u);
+  const size_t past_eof = ResidentPages(*f.vfs, attr.value.ino, kDevicePages);
+  ASSERT_GT(past_eof, 1000u);
+  ASSERT_GT(f.vfs->cache().dirty_count(), 0u);
+
+  ASSERT_EQ(f.vfs->Unlink("/f"), FsStatus::kOk);
+  EXPECT_EQ(ResidentPages(*f.vfs, attr.value.ino, kDevicePages), 0u);
+  std::string error;
+  EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
+  EXPECT_TRUE(f.vfs->cache().CheckInvariants());
+}
+
 INSTANTIATE_TEST_SUITE_P(AllFs, VfsFsSweep,
                          ::testing::Values(FsKind::kExt2, FsKind::kExt3, FsKind::kXfs),
                          [](const auto& info) { return FsKindName(info.param); });

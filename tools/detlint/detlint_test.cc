@@ -62,7 +62,8 @@ TEST(DetlintR1, AcceptsFlatIndexProbesAndAnnotatedWalks) {
 
 TEST(DetlintR1, PairsHeaderDeclarationWithSourceIteration) {
   // The member is declared in the header; the hazardous loop lives in the
-  // same-stem .cc — exactly the FlashTier::RemoveFile shape.
+  // same-stem .cc — the shape of the flash tier's old hash-order
+  // whole-file walk.
   const std::string header =
       "#include <unordered_map>\n"
       "struct T { std::unordered_map<unsigned long, int> entries_; void F(); };\n";

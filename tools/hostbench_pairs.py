@@ -1,25 +1,28 @@
 #!/usr/bin/env python3
-"""Paired host-time comparison of two source trees on one hostbench workload.
+"""Paired host-time comparison of two source trees on hostbench workloads.
 
-    python3 tools/hostbench_pairs.py --base DIR --change DIR --workload W
+    python3 tools/hostbench_pairs.py --base DIR --change DIR --workload W[,W...]
         [--seed S] [--rotations N] [--cpu C] [--short]
 
 Builds each tree's hostbench_runner from that tree's hostbench/CMakeLists.txt
 into DIR/.bench_build/hostbench (Release, as hostbench/run.py builds it), then
-runs N rotations. A rotation runs one repetition of each of three sides, each
-in a fresh process pinned to CPU C: base, base again (the control) and
-change. The side that goes first rotates from one rotation to the next.
+runs N rotations of each listed workload in turn. A rotation runs one
+repetition of each of three sides, each in a fresh process pinned to CPU C:
+base, base again (the control) and change. The side that goes first rotates
+from one rotation to the next.
 
 The control is the same binary as base, so its spread against base is what
 the host alone does to a comparison. A change has a measurable effect only
 where its numbers leave that spread: compare its win count against base with
 the control's, and its median with base's quartiles.
 
-Per side it prints the median and quartiles of ops / run_s (the runner's
-simulated ops per thread-CPU second), the median setup_s and peak RSS, every
-digest seen and any gate failure, then how many rotations the change and the
-control won against base. Exits 1 when a repetition failed its gate or one
-side saw more than one digest.
+Per workload and side it prints the median and quartiles of ops / run_s (the
+runner's simulated ops per thread-CPU second), the median setup_s and peak
+RSS, every digest seen and any gate failure. Then, for the change and the
+control, it prints on each of the three metrics how many rotations the side
+won against base (more ops/s, less setup_s, less RSS) and the ratio of its
+median to base's. Exits 1 when a repetition failed its gate or one side saw
+more than one digest.
 """
 
 import argparse
@@ -31,6 +34,12 @@ import sys
 
 REP_TIMEOUT_S = 300
 SIDES = ("base", "control", "change")
+# (label, value of one repetition, whether a higher value wins)
+METRICS = (
+    ("ops/s", lambda r: r["ops"] / r["run_s"], True),
+    ("setup_s", lambda r: r["setup_s"], False),
+    ("rss MiB", lambda r: r["peak_rss_kib"] / 1024.0, False),
+)
 
 
 def fail(message):
@@ -55,9 +64,9 @@ def build(tree):
     return os.path.join(binary_dir, "hostbench_runner")
 
 
-def run_rep(runner, args):
+def run_rep(runner, workload, args):
     """One repetition in a fresh process pinned to --cpu."""
-    cmd = [runner, "--workload", args.workload, "--seed", str(args.seed)]
+    cmd = [runner, "--workload", workload, "--seed", str(args.seed)]
     cmd += ["--short"] if args.short else []
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=REP_TIMEOUT_S,
                           preexec_fn=lambda: os.sched_setaffinity(0, {args.cpu}))
@@ -77,7 +86,8 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="source tree measured twice")
     parser.add_argument("--change", required=True, help="source tree compared against it")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="workload, or a comma-separated list run one after another")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rotations", type=int, default=10)
     parser.add_argument("--cpu", type=int, default=min(os.sched_getaffinity(0)),
@@ -86,7 +96,48 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.rotations < 1:
         parser.error("--rotations must be at least 1")
+    args.workloads = [w for w in args.workload.split(",") if w]
+    if not args.workloads:
+        parser.error("--workload names no workload")
     return args
+
+
+def compare(workload, runners, args):
+    """Runs and reports one workload's rotations; returns True if broken."""
+    reps = {side: [] for side in SIDES}
+    for rotation in range(args.rotations):
+        shift = rotation % len(SIDES)
+        for side in SIDES[shift:] + SIDES[:shift]:
+            reps[side].append(run_rep(runners[side], workload, args))
+
+    values = {(side, label): [value(r) for r in reps[side]]
+              for side in SIDES for label, value, _ in METRICS}
+    print("%s seed %d, %d rotations on CPU %d%s" % (workload, args.seed, args.rotations,
+                                                    args.cpu, ", short" if args.short else ""))
+    print("%-8s %12s %12s %12s %10s %9s  %s" % ("side", "ops/s q1", "median", "q3",
+                                                "setup_s", "rss MiB", "digests"))
+    broken = False
+    for side in SIDES:
+        q1, median, q3 = quartiles(values[(side, "ops/s")])
+        digests = sorted({r["digest"] for r in reps[side]})
+        print("%-8s %12.0f %12.0f %12.0f %10.4f %9.1f  %s" % (
+            side, q1, median, q3, statistics.median(values[(side, "setup_s")]),
+            statistics.median(values[(side, "rss MiB")]), " ".join(digests)))
+        for rep in reps[side]:
+            if rep["gate"]:
+                print("  gate FAILED (%s): %s" % (side, rep["gate"]))
+                broken = True
+        broken = broken or len(digests) > 1
+    print("%-8s %-8s %6s  %s" % ("vs base", "metric", "wins", "median ratio"))
+    for side in ("change", "control"):
+        for label, _, higher_wins in METRICS:
+            mine, base = values[(side, label)], values[("base", label)]
+            wins = sum((m > b) if higher_wins else (m < b) for m, b in zip(mine, base))
+            ratio = statistics.median(mine) / statistics.median(base)
+            print("%-8s %-8s %6s  %.3f" % (side, label, "%d/%d" % (wins, args.rotations), ratio))
+    if reps["change"][0]["digest"] != reps["base"][0]["digest"]:
+        print("note: change and base digests differ")
+    return broken
 
 
 def main(argv):
@@ -95,38 +146,11 @@ def main(argv):
     change = base if os.path.samefile(args.base, args.change) else build(
         os.path.abspath(args.change))
     runners = {"base": base, "control": base, "change": change}
-
-    reps = {side: [] for side in SIDES}
-    for rotation in range(args.rotations):
-        shift = rotation % len(SIDES)
-        for side in SIDES[shift:] + SIDES[:shift]:
-            reps[side].append(run_rep(runners[side], args))
-
-    rates = {side: [r["ops"] / r["run_s"] for r in reps[side]] for side in SIDES}
-    print("%s seed %d, %d rotations on CPU %d%s" % (args.workload, args.seed, args.rotations,
-                                                    args.cpu, ", short" if args.short else ""))
-    print("%-8s %12s %12s %12s %10s %9s  %s" % ("side", "ops/s q1", "median", "q3",
-                                                "setup_s", "rss MiB", "digests"))
     broken = False
-    for side in SIDES:
-        q1, median, q3 = quartiles(rates[side])
-        digests = sorted({r["digest"] for r in reps[side]})
-        print("%-8s %12.0f %12.0f %12.0f %10.4f %9.1f  %s" % (
-            side, q1, median, q3, statistics.median(r["setup_s"] for r in reps[side]),
-            statistics.median(r["peak_rss_kib"] / 1024.0 for r in reps[side]),
-            " ".join(digests)))
-        for rep in reps[side]:
-            if rep["gate"]:
-                print("  gate FAILED (%s): %s" % (side, rep["gate"]))
-                broken = True
-        broken = broken or len(digests) > 1
-    for side in ("change", "control"):
-        wins = sum(mine > theirs for mine, theirs in zip(rates[side], rates["base"]))
-        ratio = statistics.median(rates[side]) / statistics.median(rates["base"])
-        print("%s beat base in %d of %d rotations; median ratio %.3f"
-              % (side, wins, args.rotations, ratio))
-    if reps["change"][0]["digest"] != reps["base"][0]["digest"]:
-        print("note: change and base digests differ")
+    for i, workload in enumerate(args.workloads):
+        if i > 0:
+            print()
+        broken = compare(workload, runners, args) or broken
     sys.exit(1 if broken else 0)
 
 
