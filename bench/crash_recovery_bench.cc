@@ -37,8 +37,7 @@ MachineFactory CrashMachine(FsKind kind, JournalMode mode) {
     MachineConfig config = PaperTestbedConfig();
     // Modest cache so writeback pressure is realistic for the churn load.
     config.ram = 160 * kMiB;
-    config.journal.mode = mode;
-    config.xfs_journal.mode = mode;
+    config.journal_mode = mode;
     config.seed = seed;
     return std::make_unique<Machine>(kind, config);
   };

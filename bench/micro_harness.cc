@@ -165,7 +165,7 @@ void BM_FlashTierInsertPromote(benchmark::State& state) {
   // is promoted out of the tier, and the RAM victim is demoted into it. The
   // promoted page is a random resident one, and the demoted page is new, so
   // the tier stays full.
-  FlashTier tier(FlashTierConfig{});
+  FlashTier tier(static_cast<size_t>(FlashTierConfig{}.capacity / (4 * kKiB)));
   std::vector<uint64_t> resident(tier.capacity_pages());
   for (uint64_t i = 0; i < resident.size(); ++i) {
     resident[i] = i;

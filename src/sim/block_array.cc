@@ -29,7 +29,6 @@ BlockArray::BlockArray(const ArrayConfig& config, std::vector<IoScheduler*> devi
   }
   assert(!devices.empty());
   assert(devices.size() == static_cast<size_t>(width_) * replicas_);
-  assert(config_.chunk_sectors > 0);
 
   all_ = std::move(devices);
   for (IoScheduler* spare : spares) {
@@ -63,12 +62,12 @@ void BlockArray::MapRequest(uint64_t lba, uint32_t count, std::vector<SubRange>*
   uint64_t cur = lba;
   uint32_t remaining = count;
   while (remaining > 0) {
-    const uint64_t chunk = cur / config_.chunk_sectors;
-    const uint64_t offset = cur % config_.chunk_sectors;
+    const uint64_t chunk = cur / kChunkSectors;
+    const uint64_t offset = cur % kChunkSectors;
     const uint32_t take =
-        static_cast<uint32_t>(std::min<uint64_t>(remaining, config_.chunk_sectors - offset));
+        static_cast<uint32_t>(std::min<uint64_t>(remaining, kChunkSectors - offset));
     const size_t set = chunk % width_;
-    const uint64_t phys = (chunk / width_) * config_.chunk_sectors + offset;
+    const uint64_t phys = (chunk / width_) * kChunkSectors + offset;
     if (!out->empty() && out->back().set == set && out->back().lba + out->back().count == phys) {
       out->back().count += take;
     } else {
@@ -318,7 +317,7 @@ void BlockArray::ScrubStep(Nanos t) {
       scrub_device_ = (scrub_device_ + 1) % n;
       scrub_region_ = 0;
       if (scrub_device_ == 0) {
-        scrub_due_ = t + config_.scrub_pass_rest;  // full pass done: rest
+        scrub_due_ = t + kScrubPassRest;  // full pass done: rest
       }
       continue;
     }
@@ -391,7 +390,7 @@ void BlockArray::ScrubStep(Nanos t) {
       scrub_device_ = (scrub_device_ + 1) % n;
       scrub_region_ = 0;
       if (scrub_device_ == 0) {
-        scrub_due_ = t + config_.scrub_pass_rest;  // full pass done: rest
+        scrub_due_ = t + kScrubPassRest;  // full pass done: rest
       }
     }
     return;  // one burst per step

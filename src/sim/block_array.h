@@ -6,7 +6,7 @@
 //   - kMirror:       width = 1,         replicas = devices
 //   - kStripe:       width = devices,   replicas = 1
 //   - kStripeMirror: width = devices/2, replicas = 2
-// A logical LBA is chunked round-robin across the sets (chunk_sectors per
+// A logical LBA is chunked round-robin across the sets (kChunkSectors per
 // chunk); inside a set every replica holds the same physical image.
 //
 // Three robustness behaviors ride on the per-device fault plans:
@@ -53,9 +53,6 @@ struct ArrayConfig {
   // Data devices in the array (excluding hot spares). kStripeMirror needs an
   // even count; kSingle ignores it.
   uint32_t devices = 1;
-  // Stripe chunk: consecutive logical runs of this many sectors map to the
-  // same set before the mapping moves to the next one. 256 = 128 KiB.
-  uint64_t chunk_sectors = 256;
   // Idle standby devices available as rebuild targets after a device death.
   uint32_t hot_spares = 0;
   // Background scrub: probe one region every `scrub_interval` of virtual
@@ -67,15 +64,8 @@ struct ArrayConfig {
   // issued one isolated region at a time costs a head seek (and a broken
   // foreground stream) per probe.
   uint32_t scrub_batch = 1;
-  // Rest between full scrub passes. A pass walks every allocated region once;
-  // restarting it immediately would re-pay the whole verify-read bill forever
-  // (real scrubs run on a schedule, not in a tight loop).
-  Nanos scrub_pass_rest = 500 * kMillisecond;
   // Rebuild throttle: copy one region every `rebuild_interval`.
   Nanos rebuild_interval = 2 * kMillisecond;
-  // Which device index FaultPlanConfig::device_kill_time applies to (the
-  // machine zeroes the kill for every other device).
-  uint32_t kill_device = 0;
   // Place the journal on a dedicated device outside the array (the classic
   // separate-log-device configuration).
   bool journal_device = false;
@@ -115,6 +105,14 @@ struct ArraySummary {
 
 class BlockArray : public BlockIo, public IoWriteErrorSink {
  public:
+  // Stripe chunk: consecutive logical runs of this many sectors map to the
+  // same set before the mapping moves to the next one. 256 = 128 KiB.
+  static constexpr uint64_t kChunkSectors = 256;
+  // Rest between full scrub passes. A pass walks every allocated region once;
+  // restarting it immediately would re-pay the whole verify-read bill forever
+  // (real scrubs run on a schedule, not in a tight loop).
+  static constexpr Nanos kScrubPassRest = 500 * kMillisecond;
+
   // `devices` are the data devices in set-major order (set s owns indices
   // [s*replicas, (s+1)*replicas)); `spares` are the hot-spare pool, claimed
   // lowest-index-first. The array does not own the schedulers; the Machine

@@ -1,11 +1,12 @@
-// Ext3-like file system: ext2 layout plus a JBD-flavoured write-ahead
-// journal (JbdJournal over the generic transaction log — see txn_log.h).
-// Meta-data dirtied by namespace and allocation operations is logged;
-// commits are periodic (kjournald) or synchronous on fsync, and checkpoint
-// writeback reclaims log space (stalling commits when the log fills — the
-// fsync cliff). Reads behave like ext2 with slightly higher per-op CPU
-// (transaction bookkeeping) and a smaller read-around cluster, which slows
-// cache warm-up relative to ext2 (see bench/fig2_warmup_timeline).
+// Ext3-like file system: ext2 layout plus a reserved journal region, which
+// the machine hands to a JBD-flavoured write-ahead journal (JbdJournal over
+// the generic transaction log — see journal.h). Meta-data dirtied by
+// namespace and allocation operations is logged; commits come every 5 s
+// (kjournald) or synchronously on fsync, and checkpoint writeback reclaims
+// log space (stalling commits when the log fills — the fsync cliff). Reads
+// behave like ext2 with slightly higher per-op CPU (transaction
+// bookkeeping) and a smaller read-around cluster, which slows cache warm-up
+// relative to ext2 (see bench/fig2_warmup_timeline).
 #ifndef SRC_SIM_EXT3FS_H_
 #define SRC_SIM_EXT3FS_H_
 
@@ -22,8 +23,6 @@ class Ext3Fs : public Ext2Fs {
   const char* name() const override { return "ext3"; }
   FsKind kind() const override { return FsKind::kExt3; }
 
-  const Extent& journal_region() const { return journal_region_; }
-
   ReadaheadConfig readahead_config() const override {
     return ReadaheadConfig{ReadaheadKind::kAdaptive, /*fixed_pages=*/8, /*min_window=*/4,
                            /*max_window=*/32, /*random_cluster=*/1};
@@ -34,9 +33,6 @@ class Ext3Fs : public Ext2Fs {
   // errors=remount-ro (the distro default): a lost metadata or log write
   // aborts the journal and freezes the namespace read-only.
   bool RemountRoOnWriteError() const override { return true; }
-
- private:
-  Extent journal_region_;
 };
 
 }  // namespace fsbench

@@ -66,8 +66,9 @@ struct FaultPlanConfig {
   double burst_factor = 1.0;
   // Whole-device failure: at this virtual time the device stops responding —
   // every later access fails fast with a persistent verdict (no mechanical
-  // work, no remap escape). 0 = never. The redundancy layer is what turns
-  // this from "the run dies" into a degraded-array scenario.
+  // work, no remap escape). 0 = never. The machine applies it to data
+  // device 0 alone; the redundancy layer is what turns this from "the run
+  // dies" into a degraded-array scenario.
   Nanos device_kill_time = 0;
   // When true, the time axis of the knobs above (defect onsets, the burst
   // window, the device kill) starts at a runtime origin armed by

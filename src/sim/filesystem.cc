@@ -95,6 +95,14 @@ void FileSystem::InitGroups() {
   }
 }
 
+void FileSystem::ReserveJournalRegion(uint64_t blocks) {
+  // Real XFS centres its log in an allocation group, a placement difference
+  // the seek model can ignore at this size.
+  journal_region_ = Extent{GroupDataStart(0), blocks};
+  alloc_.ReserveRange(journal_region_);
+  reserved_blocks_ += blocks;
+}
+
 Nanos FileSystem::Now() const { return clock_ != nullptr ? clock_->now() : 0; }
 
 const Inode* FileSystem::FindInode(InodeId ino) const { return inodes_.Find(ino); }

@@ -222,6 +222,8 @@ class FileSystem {
   void AttachJournal(std::unique_ptr<Journal> journal) { journal_ = std::move(journal); }
   Journal* journal() { return journal_.get(); }
   const Journal* journal() const { return journal_.get(); }
+  // The blocks reserved at mkfs time for the on-disk log (empty for ext2).
+  const Extent& journal_region() const { return journal_region_; }
 
   virtual ReadaheadConfig readahead_config() const = 0;
   // Extra per-operation CPU cost (journaling bookkeeping etc.).
@@ -318,6 +320,10 @@ class FileSystem {
   // inode bitmap + table writes. Returns null on inode exhaustion.
   Inode* AllocateInode(const Inode& parent, FileType type, MetaIo* io);
 
+  // Reserves `blocks` blocks for the on-disk log in group 0's data area,
+  // right after the header (the mkfs-time reservation ext3 and xfs make).
+  void ReserveJournalRegion(uint64_t blocks);
+
   FsLayoutParams params_;
   VirtualClock* clock_;
   BlockAllocator alloc_;
@@ -329,6 +335,7 @@ class FileSystem {
   InodeId next_ino_ = kRootInode;
   uint64_t next_dir_group_ = 0;
   uint64_t reserved_blocks_ = 0;  // mkfs-reserved (headers, journal) for fsck accounting
+  Extent journal_region_;
   std::unique_ptr<Journal> journal_;
   bool read_only_ = false;         // entered on meta failure when the policy says so
   uint64_t meta_io_failures_ = 0;  // permanent metadata/log I/O failures observed

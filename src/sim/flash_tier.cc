@@ -4,9 +4,7 @@
 
 namespace fsbench {
 
-FlashTier::FlashTier(const FlashTierConfig& config)
-    : config_(config),
-      capacity_pages_(static_cast<size_t>(config.capacity / config.page_size)) {
+FlashTier::FlashTier(size_t capacity_pages) : capacity_pages_(capacity_pages) {
   assert(capacity_pages_ > 0);
   slab_.Reserve(capacity_pages_);
   links_.reserve(capacity_pages_);

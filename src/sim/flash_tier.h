@@ -38,8 +38,6 @@ namespace fsbench {
 
 struct FlashTierConfig {
   Bytes capacity = 1 * kGiB;
-  Nanos read_latency = 90 * kMicrosecond;    // device read + DMA
-  Bytes page_size = 4 * kKiB;
 };
 
 struct FlashTierStats {
@@ -53,7 +51,11 @@ struct FlashTierStats {
 
 class FlashTier {
  public:
-  explicit FlashTier(const FlashTierConfig& config);
+  static constexpr Nanos kReadLatency = 90 * kMicrosecond;  // device read + DMA
+
+  // The owner sizes the tier in its own pages (FlashTierConfig::capacity
+  // over the page-cache page size).
+  explicit FlashTier(size_t capacity_pages);
 
   // Probes the tier; a hit refreshes recency and removes the page (it is
   // being promoted back into RAM — exclusive tiering).
@@ -75,7 +77,6 @@ class FlashTier {
 
   size_t size() const { return lru_.size(); }
   size_t capacity_pages() const { return capacity_pages_; }
-  const FlashTierConfig& config() const { return config_; }
   const FlashTierStats& stats() const { return stats_; }
   bool Contains(const PageKey& key) const { return slab_.Find(key) != PageSlab::kNil; }
 
@@ -83,7 +84,6 @@ class FlashTier {
   // Full removal of a live node: LRU unlink + table erase + slab release.
   void EraseNode(uint32_t n);
 
-  FlashTierConfig config_;
   size_t capacity_pages_;
 
   // Grows once up to capacity_pages_ nodes, then recycles (see the layout

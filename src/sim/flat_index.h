@@ -87,12 +87,6 @@ class FlatIndex {
     return slot;
   }
 
-  // Swaps the id at occupied `slot` for another id of the same key.
-  void Replace(size_t slot, uint32_t id) {
-    assert(slots_[slot] != kEmpty);
-    slots_[slot] = id;
-  }
-
   // Removes the id at occupied `slot`. The backward shift moves back every
   // later id of the run whose home does not lie cyclically in (hole, slot],
   // reporting each through `moved`. Returns the slot finally left empty.

@@ -4,81 +4,85 @@
 
 namespace fsbench {
 
-Nanos Journal::CommitToLog(TxnLog& log, VirtualClock* clock, bool sync) {
-  const uint64_t logged = log.pending_blocks();
-  if (aborted_ || logged == 0) {
-    return clock->now();
-  }
-  const Nanos completion = log.Commit(sync);
-  stats_.blocks_logged += logged;
-  ++stats_.commits;
-  last_commit_time_ = std::max(last_commit_time_, clock->now());
-  return completion;
-}
-
 // --- JbdJournal --------------------------------------------------------------
 
-JbdJournal::JbdJournal(BlockIo* io, VirtualClock* clock, Extent region,
-                       const JournalConfig& config)
-    : Journal(config),
+JbdJournal::JbdJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+                       JournalMode mode)
+    : JbdJournal(io, clock, region, block_sectors, mode, kCommitInterval) {}
+
+JbdJournal::JbdJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+                       JournalMode mode, Nanos commit_interval)
+    : Journal(mode),
       clock_(clock),
-      log_(io, clock, region,
-           TxnLogConfig{config.block_sectors, config.checkpoint_threshold}) {}
+      log_(io, clock, region, block_sectors),
+      commit_interval_(commit_interval) {}
+
+void JbdJournal::BindClock(VirtualClock* clock) {
+  clock_ = clock;
+  log_.BindClock(clock);
+}
+
+void JbdJournal::LogMetadata(const MetaRef& ref) { log_.Add(ref); }
+
+void JbdJournal::LogData(const MetaRef& ref) {
+  if (mode_ == JournalMode::kJournaled) {
+    LogMetadata(ref);
+  }
+}
 
 void JbdJournal::MaybePeriodicCommit() {
-  if (clock_->now() - last_commit_time_ >= config_.commit_interval) {
-    CommitToLog(log_, clock_, /*sync=*/false);
+  if (clock_->now() - last_commit_time_ >= commit_interval_) {
+    Commit(/*sync=*/false);
   }
 }
 
 Nanos JbdJournal::CommitSync() {
   ++stats_.sync_commits;
-  return CommitToLog(log_, clock_, /*sync=*/true);
+  return Commit(/*sync=*/true);
+}
+
+void JbdJournal::NoteHomeWrite(BlockId block) { log_.NoteHomeWrite(block); }
+
+size_t JbdJournal::pending_blocks() const { return log_.pending_blocks(); }
+
+TxnLog* JbdJournal::txn_log() { return &log_; }
+
+void JbdJournal::set_checkpoint_sink(CheckpointSink* sink) { log_.set_checkpoint_sink(sink); }
+
+Nanos JbdJournal::Commit(bool sync) {
+  const uint64_t logged = log_.pending_blocks();
+  if (aborted_ || logged == 0) {
+    return clock_->now();
+  }
+  const Nanos completion = log_.Commit(sync);
+  stats_.blocks_logged += logged;
+  ++stats_.commits;
+  last_commit_time_ = std::max(last_commit_time_, clock_->now());
+  return completion;
 }
 
 // --- CilJournal --------------------------------------------------------------
 
-CilJournal::CilJournal(BlockIo* io, VirtualClock* clock, Extent region,
-                       const JournalConfig& config)
-    : Journal(config),
-      clock_(clock),
-      log_(io, clock, region,
-           TxnLogConfig{config.block_sectors, config.checkpoint_threshold}) {}
+CilJournal::CilJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+                       JournalMode mode)
+    : JbdJournal(io, clock, region, block_sectors, mode, kCommitInterval) {}
 
 void CilJournal::LogMetadata(const MetaRef& ref) {
   if (aborted_) {
-    return;  // the CIL of an aborted journal is frozen
+    return;
   }
   ++stats_.cil_inserts;
-  if (cil_set_.insert(ref.block).second) {
-    cil_.push_back(ref);
-  }
-  if (config_.cil_push_blocks != 0 && cil_.size() >= config_.cil_push_blocks) {
-    Push(/*sync=*/false);
+  log_.Add(ref);
+  if (log_.pending_blocks() >= kPushBlocks) {
+    Commit(/*sync=*/false);
   }
 }
 
-Nanos CilJournal::Push(bool sync) {
-  if (!cil_.empty()) {
+Nanos CilJournal::Commit(bool sync) {
+  if (!aborted_ && log_.pending_blocks() != 0) {
     ++stats_.cil_pushes;
-    for (const MetaRef& ref : cil_) {
-      log_.Add(ref);
-    }
-    cil_.clear();
-    cil_set_.clear();
   }
-  return CommitToLog(log_, clock_, sync);
-}
-
-void CilJournal::MaybePeriodicCommit() {
-  if (clock_->now() - last_commit_time_ >= config_.commit_interval) {
-    Push(/*sync=*/false);
-  }
-}
-
-Nanos CilJournal::CommitSync() {
-  ++stats_.sync_commits;
-  return Push(/*sync=*/true);
+  return JbdJournal::Commit(sync);
 }
 
 }  // namespace fsbench

@@ -2,23 +2,22 @@
 //
 // `Journal` is the interface the VFS drives: meta-data (and, in kJournaled
 // mode, data) blocks dirtied by an operation join the running transaction;
-// commits happen periodically (the kjournald timer) or synchronously on
-// fsync, and the VFS reports home-location writebacks so the log can
-// checkpoint. Two clients implement it:
+// commits happen periodically or synchronously on fsync, and the VFS reports
+// home-location writebacks so the log can checkpoint. Both clients keep an
+// uncommitted block in one place only, the log's running transaction, and
+// differ only in when they commit it:
 //
-//   - JbdJournal (ext3): blocks join the open on-disk transaction directly,
-//     and every commit writes descriptor + logged blocks + commit record
+//   - JbdJournal (ext3): commits every 5 s (the kjournald timer) or on
+//     fsync; each commit writes descriptor + logged blocks + commit record
 //     into the log region — JBD's compound-transaction model.
-//   - CilJournal (XFS delayed logging): deltas batch in an in-memory
-//     Committed Item List and hit the log only when the CIL is pushed
-//     (commit timer, fsync, or size threshold), so repeatedly re-dirtied
-//     blocks cost one log copy per push rather than one per transaction.
+//   - CilJournal (XFS delayed logging): the running transaction plays the
+//     Committed Item List. It is pushed every 30 s (the xfs log timer), on
+//     fsync, or once it holds kPushBlocks distinct blocks, so a block
+//     re-dirtied between pushes costs one log copy per push.
 #ifndef SRC_SIM_JOURNAL_H_
 #define SRC_SIM_JOURNAL_H_
 
 #include <cstdint>
-#include <unordered_set>
-#include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/io_scheduler.h"
@@ -32,24 +31,12 @@ enum class JournalMode : uint8_t {
   kJournaled,  // data + meta-data
 };
 
-struct JournalConfig {
-  JournalMode mode = JournalMode::kOrdered;
-  Nanos commit_interval = 5 * kSecond;  // kjournald default
-  uint32_t block_sectors = 8;           // journal block size in sectors (4 KiB)
-  // Passed through to the transaction log: background checkpoint writeback
-  // starts when the log is more than this fraction full.
-  double checkpoint_threshold = 0.75;
-  // CilJournal only: push the in-memory CIL once it holds this many
-  // distinct blocks (0 = push only on the commit timer or fsync).
-  uint64_t cil_push_blocks = 1024;
-};
-
 struct JournalStats {
   uint64_t commits = 0;
   uint64_t sync_commits = 0;
   uint64_t blocks_logged = 0;
-  uint64_t cil_inserts = 0;  // deltas absorbed by the in-memory CIL
-  uint64_t cil_pushes = 0;   // CIL contexts pushed into the log
+  uint64_t cil_inserts = 0;  // deltas CilJournal logged
+  uint64_t cil_pushes = 0;   // CilJournal pushes of a non-empty transaction
 
   bool operator==(const JournalStats& other) const = default;
 };
@@ -57,7 +44,7 @@ struct JournalStats {
 // Client interface the VFS (and the machine wiring) programs against.
 class Journal {
  public:
-  explicit Journal(const JournalConfig& config) : config_(config) {}
+  explicit Journal(JournalMode mode) : mode_(mode) {}
   virtual ~Journal() = default;
 
   Journal(const Journal&) = delete;
@@ -120,90 +107,71 @@ class Journal {
   }
 
   const JournalStats& stats() const { return stats_; }
-  const JournalConfig& config() const { return config_; }
 
  protected:
-  // Shared commit tail for clients backed by a TxnLog: commits the running
-  // transaction (empty = free), keeps the stats, and advances the monotone
-  // commit clock — a trailing thread cursor must never regress the
-  // periodic-commit timer (the cursors themselves are not monotone across
-  // threads).
-  Nanos CommitToLog(TxnLog& log, VirtualClock* clock, bool sync);
-
-  JournalConfig config_;
+  JournalMode mode_;
   JournalStats stats_;
-  Nanos last_commit_time_ = 0;
   bool aborted_ = false;
 };
 
 // Ext3's JBD-flavoured client: every logged block goes straight into the
-// open on-disk transaction.
+// log's running transaction. The overrides are defined out of line in
+// journal.cc: an inline overrider lets GCC speculatively devirtualize and
+// inline journal calls into the VFS's hot paths.
 class JbdJournal : public Journal {
  public:
-  // `region` is the reserved on-disk area (in blocks of block_sectors) the
-  // log wraps around in.
-  JbdJournal(BlockIo* io, VirtualClock* clock, Extent region,
-             const JournalConfig& config);
+  static constexpr Nanos kCommitInterval = 5 * kSecond;  // kjournald
 
-  void BindClock(VirtualClock* clock) override {
-    clock_ = clock;
-    log_.BindClock(clock);
-  }
-  void LogMetadata(const MetaRef& ref) override { log_.Add(ref); }
-  void LogData(const MetaRef& ref) override {
-    if (config_.mode == JournalMode::kJournaled) {
-      log_.Add(ref);
-    }
-  }
+  // `region` is the reserved on-disk area the log wraps around in, in
+  // file-system blocks of `block_sectors` sectors each.
+  JbdJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+             JournalMode mode);
+
+  void BindClock(VirtualClock* clock) override;
+  void LogMetadata(const MetaRef& ref) override;
+  void LogData(const MetaRef& ref) override;
   void MaybePeriodicCommit() override;
   Nanos CommitSync() override;
-  void NoteHomeWrite(BlockId block) override { log_.NoteHomeWrite(block); }
-  size_t pending_blocks() const override { return log_.pending_blocks(); }
-  TxnLog* txn_log() override { return &log_; }
-  void set_checkpoint_sink(CheckpointSink* sink) override { log_.set_checkpoint_sink(sink); }
+  void NoteHomeWrite(BlockId block) override;
+  size_t pending_blocks() const override;
+  TxnLog* txn_log() override;
+  void set_checkpoint_sink(CheckpointSink* sink) override;
 
- private:
+ protected:
+  JbdJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+             JournalMode mode, Nanos commit_interval);
+
+  // Commits the running transaction (empty = free), keeps the stats, and
+  // advances the monotone commit clock — a trailing thread cursor must never
+  // regress the periodic-commit timer (the cursors themselves are not
+  // monotone across threads).
+  virtual Nanos Commit(bool sync);
+
   VirtualClock* clock_;
   TxnLog log_;
+
+ private:
+  Nanos commit_interval_;
+  Nanos last_commit_time_ = 0;
 };
 
-// XFS delayed-logging adapter: an in-memory CIL batches deltas and pushes
-// them into the transaction log as one compound transaction.
-class CilJournal : public Journal {
+// XFS delayed logging: the same running transaction, pushed on the xfs log
+// timer or once it holds kPushBlocks distinct blocks.
+class CilJournal : public JbdJournal {
  public:
-  CilJournal(BlockIo* io, VirtualClock* clock, Extent region,
-             const JournalConfig& config);
+  static constexpr Nanos kCommitInterval = 30 * kSecond;  // the xfs log timer
+  static constexpr uint64_t kPushBlocks = 1024;
 
-  void BindClock(VirtualClock* clock) override {
-    clock_ = clock;
-    log_.BindClock(clock);
-  }
+  CilJournal(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors,
+             JournalMode mode);
+
+  // Counts the delta and pushes once the transaction reaches kPushBlocks.
+  // An aborted journal logs nothing.
   void LogMetadata(const MetaRef& ref) override;
-  void LogData(const MetaRef& ref) override {
-    if (config_.mode == JournalMode::kJournaled) {
-      LogMetadata(ref);
-    }
-  }
-  void MaybePeriodicCommit() override;
-  Nanos CommitSync() override;
-  void NoteHomeWrite(BlockId block) override { log_.NoteHomeWrite(block); }
-  // Deltas still in memory plus anything already staged in the log.
-  size_t pending_blocks() const override { return cil_.size() + log_.pending_blocks(); }
-  TxnLog* txn_log() override { return &log_; }
-  void set_checkpoint_sink(CheckpointSink* sink) override { log_.set_checkpoint_sink(sink); }
 
-  size_t cil_blocks() const { return cil_.size(); }
-
- private:
-  // Moves the CIL into the log's running transaction and commits it.
-  Nanos Push(bool sync);
-
-  VirtualClock* clock_;
-  TxnLog log_;
-  // Determinism audit (detlint R1): cil_set_ is lookup/insert-only, never
-  // iterated; the push order that reaches the log is cil_'s insertion order.
-  std::vector<MetaRef> cil_;             // insertion order
-  std::unordered_set<BlockId> cil_set_;  // dedup across the whole context
+ protected:
+  // Counts a push of a non-empty transaction into a live log.
+  Nanos Commit(bool sync) override;
 };
 
 }  // namespace fsbench

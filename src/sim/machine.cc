@@ -99,8 +99,8 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
       // The plan's stream is separate from the disk's rotational stream, so a
       // run with all fault rates zero is byte-identical to one without a plan.
       FaultPlanConfig plan = config_.faults;
-      if (d != config_.array.kill_device || d >= data_devices) {
-        plan.device_kill_time = 0;  // the kill names exactly one data device
+      if (d != 0) {
+        plan.device_kill_time = 0;  // the kill names data device 0 alone
       }
       disk->EnableFaults(plan, config_.seed ^ 0xfa1c7000ULL ^ stride);
     }
@@ -141,28 +141,26 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
     case FsKind::kExt2:
       fs_ = std::make_unique<Ext2Fs>(config_.disk.capacity, config_.layout, &clock_);
       break;
-    case FsKind::kExt3: {
-      auto ext3 = std::make_unique<Ext3Fs>(config_.disk.capacity, config_.layout, &clock_,
-                                           config_.journal_blocks);
-      // Journal blocks are file-system blocks: the log's LBAs and the
-      // ShadowDisk's durability map must agree on the block size.
-      JournalConfig journal_config = config_.journal;
-      journal_config.block_sectors = ext3->sectors_per_block();
-      ext3->AttachJournal(std::make_unique<JbdJournal>(journal_io, &clock_,
-                                                       ext3->journal_region(), journal_config));
-      fs_ = std::move(ext3);
+    case FsKind::kExt3:
+      fs_ = std::make_unique<Ext3Fs>(config_.disk.capacity, config_.layout, &clock_,
+                                     config_.journal_blocks);
       break;
-    }
-    case FsKind::kXfs: {
-      auto xfs = std::make_unique<XfsFs>(config_.disk.capacity, config_.layout, &clock_,
-                                         config_.xfs_log_blocks);
-      JournalConfig journal_config = config_.xfs_journal;
-      journal_config.block_sectors = xfs->sectors_per_block();
-      xfs->AttachJournal(std::make_unique<CilJournal>(journal_io, &clock_,
-                                                      xfs->journal_region(), journal_config));
-      fs_ = std::move(xfs);
+    case FsKind::kXfs:
+      fs_ = std::make_unique<XfsFs>(config_.disk.capacity, config_.layout, &clock_,
+                                    config_.journal_blocks);
       break;
-    }
+  }
+  if (fs_kind != FsKind::kExt2) {
+    // Journal blocks are file-system blocks: the log's LBAs and the
+    // ShadowDisk's durability map must agree on the block size.
+    const Extent region = fs_->journal_region();
+    const uint32_t block_sectors = fs_->sectors_per_block();
+    fs_->AttachJournal(
+        fs_kind == FsKind::kXfs
+            ? std::make_unique<CilJournal>(journal_io, &clock_, region, block_sectors,
+                                           config_.journal_mode)
+            : std::make_unique<JbdJournal>(journal_io, &clock_, region, block_sectors,
+                                           config_.journal_mode));
   }
 
   VfsConfig vfs_config;
@@ -176,9 +174,8 @@ Machine::Machine(FsKind fs_kind, const MachineConfig& config)
   vfs_config.cpu_cost_multiplier = cpu_scale;
   vfs_config.readahead_override = config_.readahead_override;
   if (config_.flash.has_value()) {
-    FlashTierConfig flash_config = *config_.flash;
-    flash_config.page_size = vfs_config.page_size;
-    flash_ = std::make_unique<FlashTier>(flash_config);
+    flash_ = std::make_unique<FlashTier>(
+        static_cast<size_t>(config_.flash->capacity / vfs_config.page_size));
   }
   vfs_ = std::make_unique<Vfs>(&clock_, data_io, fs_.get(), vfs_config, flash_.get());
   // The journal checkpoints by asking the VFS to write dirty pages home.

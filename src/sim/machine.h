@@ -1,6 +1,9 @@
 // Machine: assembles the whole simulated stack (clock, disk, scheduler,
 // file system, journal, VFS) from one configuration, applying the per-run
-// jitter model.
+// jitter model. A journaled file system gets its client here: ext3 a
+// JbdJournal, xfs a CilJournal, both over the file system's reserved log
+// region and in its block size; `journal_mode` and `journal_blocks` are the
+// only journal settings (the commit timers are the clients' constants).
 //
 // The jitter model is itself part of the reproduction: the paper attributes
 // the fragility of benchmark results near the memory/disk boundary to
@@ -47,16 +50,10 @@ struct MachineConfig {
   DeviceKind device = DeviceKind::kHdd;
   SsdParams ssd;
   FsLayoutParams layout;
-  // Journal policy knobs. `block_sectors` is machine-managed: the machine
-  // overrides it with the file system's sectors_per_block() at assembly so
-  // the log's LBAs and the ShadowDisk durability map always agree (it is
-  // honoured only when constructing a JbdJournal/CilJournal directly).
-  JournalConfig journal;              // ext3 (JBD: 5 s kjournald commits)
-  uint64_t journal_blocks = 8192;     // 32 MiB journal region
-  // XFS delayed logging: same-size log, lazier push cadence (the xfs log
-  // timer), deltas batched in the in-memory CIL until then.
-  JournalConfig xfs_journal{JournalMode::kOrdered, 30 * kSecond};
-  uint64_t xfs_log_blocks = 8192;
+  // What the ext3 or xfs journal logs, and the size of its log region in
+  // file-system blocks (8192 = 32 MiB).
+  JournalMode journal_mode = JournalMode::kOrdered;
+  uint64_t journal_blocks = 8192;
   EvictionPolicyKind eviction = EvictionPolicyKind::kLru;
   Nanos syscall_overhead = 3500;
   Nanos page_copy_cost = 500;

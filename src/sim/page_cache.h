@@ -123,7 +123,9 @@ class PageCache {
     return batch;
   }
 
-  // Marks a resident page dirty; returns false if not resident.
+  // Marks a resident page dirty; returns false, changing nothing, if it is
+  // not resident or is cached as a hole (kInvalidBlock), which needs a
+  // block before it can be dirtied.
   bool MarkDirty(const PageKey& key);
 
   // Collects up to `max_pages` dirty pages into `out` (cleared first),
@@ -344,7 +346,7 @@ inline bool PageCache::Lookup(const PageKey& key) {
 
 inline bool PageCache::MarkDirty(const PageKey& key) {
   const uint32_t n = slab_.Find(key);
-  if (n == kNil || !IsResidentNode(n)) {
+  if (n == kNil || !IsResidentNode(n) || blocks_[n] == kInvalidBlock) {
     return false;
   }
   if (!IsDirty(n)) {

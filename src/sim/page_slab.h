@@ -51,8 +51,6 @@ class PageSlab {
     table_.Reserve(max_nodes);
   }
 
-  // Ids handed out so far, free ones included; every id is below it.
-  size_t node_count() const { return keys_.size(); }
   const PageKey& key(uint32_t n) const { return keys_[n]; }
 
   // The key's slot, or the empty slot ending its probe run.

@@ -5,9 +5,8 @@
 
 namespace fsbench {
 
-TxnLog::TxnLog(BlockIo* io, VirtualClock* clock, Extent region,
-               const TxnLogConfig& config)
-    : io_(io), clock_(clock), region_(region), config_(config) {
+TxnLog::TxnLog(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors)
+    : io_(io), clock_(clock), region_(region), block_sectors_(block_sectors) {
   // A log must at least hold a descriptor, one home copy and a commit record.
   assert(region_.count >= 3);
 }
@@ -92,8 +91,8 @@ Nanos TxnLog::WriteChunk(const MetaRef* refs, uint64_t count, bool sync) {
   Nanos completion = clock_->now();
   for (uint64_t i = 0; i < blocks_to_write; ++i) {
     const uint64_t offset = (head_block_ + i) % region_.count;
-    const IoRequest req{IoKind::kWrite, (region_.start + offset) * config_.block_sectors,
-                        config_.block_sectors, /*meta=*/true};
+    const IoRequest req{IoKind::kWrite, (region_.start + offset) * block_sectors_,
+                        block_sectors_, /*meta=*/true};
     if (sync && i + 1 == blocks_to_write) {
       // Only the commit record is waited on.
       if (const auto done = io_->SubmitSync(req, clock_->now()); done.has_value()) {
@@ -154,11 +153,11 @@ Nanos TxnLog::Commit(bool sync) {
   // ever reaching the forced-stall path. No waiting here.
   if (sink_ != nullptr &&
       static_cast<double>(used_blocks_) >
-          config_.checkpoint_threshold * static_cast<double>(region_.count)) {
+          kCheckpointThreshold * static_cast<double>(region_.count)) {
     ReclaimCleanTail();
     if (live_begin_ < records_.size() &&
         static_cast<double>(used_blocks_) >
-            config_.checkpoint_threshold * static_cast<double>(region_.count)) {
+            kCheckpointThreshold * static_cast<double>(region_.count)) {
       TxnRecord& txn = records_[live_begin_];
       if (txn.clean_prefix < txn.home.size()) {
         ++stats_.background_checkpoints;

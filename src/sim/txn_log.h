@@ -10,10 +10,11 @@
 // *stalls* until forced checkpoint writeback completes — the ext3 fsync
 // cliff the paper's latency dimension is about.
 //
-// Clients (JbdJournal for ext3, CilJournal for the XFS delayed-logging
-// adapter — see journal.h) own policy: what joins a transaction and when
-// commits happen. The log itself also keeps the bookkeeping crash recovery
-// needs: per-transaction home references, the log extent each commit
+// Clients (JbdJournal for ext3, CilJournal for XFS delayed logging — see
+// journal.h) own policy: what joins a transaction and when commits happen.
+// The running transaction is the only place an uncommitted block lives.
+// The log itself also keeps the bookkeeping crash recovery needs:
+// per-transaction home references, the log extent each commit
 // occupied, the commit record's block, and an operation watermark, so a
 // crash injected at any virtual time can be resolved into "replay these
 // committed-but-uncheckpointed transactions, discard that torn tail"
@@ -32,13 +33,6 @@
 #include "src/sim/types.h"
 
 namespace fsbench {
-
-struct TxnLogConfig {
-  uint32_t block_sectors = 8;  // log block size in sectors (4 KiB)
-  // Background checkpoint writeback is requested when the log is more than
-  // this fraction full (JBD's "start flushing before you hit the wall").
-  double checkpoint_threshold = 0.75;
-};
 
 struct TxnLogStats {
   uint64_t commits = 0;
@@ -67,9 +61,13 @@ class CheckpointSink {
 
 class TxnLog {
  public:
-  // `region` is the reserved on-disk area, in blocks of block_sectors.
-  TxnLog(BlockIo* io, VirtualClock* clock, Extent region,
-         const TxnLogConfig& config);
+  // Background checkpoint writeback is requested when the log is more than
+  // this fraction full (JBD's "start flushing before you hit the wall").
+  static constexpr double kCheckpointThreshold = 0.75;
+
+  // `region` is the reserved on-disk area, in log blocks of `block_sectors`
+  // sectors (the file system's block size).
+  TxnLog(BlockIo* io, VirtualClock* clock, Extent region, uint32_t block_sectors);
 
   // Rebinds the clock "now" is read from (per-thread cursor under the MT
   // engine, via Journal::BindClock).
@@ -143,7 +141,6 @@ class TxnLog {
   uint64_t used_blocks() const { return used_blocks_; }
   uint64_t capacity_blocks() const { return region_.count; }
   const Extent& region() const { return region_; }
-  const TxnLogConfig& config() const { return config_; }
   const TxnLogStats& stats() const { return stats_; }
 
  private:
@@ -171,7 +168,7 @@ class TxnLog {
   BlockIo* io_;
   VirtualClock* clock_;
   Extent region_;
-  TxnLogConfig config_;
+  uint32_t block_sectors_;
   CheckpointSink* sink_ = nullptr;
 
   uint64_t head_block_ = 0;   // next write offset within the region, wraps

@@ -464,7 +464,7 @@ FsResult<Bytes> Vfs::Read(int fd, Bytes offset, Bytes length) {
     // device latency - the "middle step" between RAM and disk.
     if (flash_ != nullptr && flash_->LookupAndPromote(key)) {
       ++stats_.flash_hits;
-      clock_->Advance(flash_->config().read_latency);
+      clock_->Advance(FlashTier::kReadLatency);
       InsertPage(key, mapping.value, /*dirty=*/false);
       clock_->Advance(scaled_page_copy_);
       if (ra_pages > 0) {
@@ -545,7 +545,6 @@ FsResult<Bytes> Vfs::Write(int fd, Bytes offset, Bytes length) {
   const Bytes page_size = config_.page_size;
   const uint64_t first_page = offset / page_size;
   const uint64_t last_page = (offset + length - 1) / page_size;
-  Journal* journal = fs_->journal();
 
   for (uint64_t page = first_page; page <= last_page; ++page) {
     const PageKey key{file->ino, page};
@@ -556,8 +555,11 @@ FsResult<Bytes> Vfs::Write(int fd, Bytes offset, Bytes length) {
                          (page == last_page && offset + length < page_start + page_size);
     if (cache_.Lookup(key)) {
       ++stats_.data_page_hits;
-      cache_.MarkDirty(key);
-      clock_->Advance(scaled_page_copy_);
+      if (cache_.MarkDirty(key)) {
+        clock_->Advance(scaled_page_copy_);
+        continue;
+      }
+      // Cached as a hole: it gets its block below, like a missing page.
     } else {
       ++stats_.data_page_misses;
       if (partial && page_start < old_size) {
@@ -576,19 +578,10 @@ FsResult<Bytes> Vfs::Write(int fd, Bytes offset, Bytes length) {
           }
         }
       }
-      meta_scratch_.Reset();
-      const FsResult<BlockId> block = fs_->AllocatePage(file->ino, page, &meta_scratch_);
-      if (!block.ok()) {
-        return FsResult<Bytes>::Error(block.status);
-      }
-      if (ProcessMetaIo(meta_scratch_) != FsStatus::kOk) {
-        return FsResult<Bytes>::Error(FsStatus::kIoError);
-      }
-      InsertPage(key, block.value, /*dirty=*/true);
-      clock_->Advance(scaled_page_copy_);
-      if (journal != nullptr) {
-        journal->LogData(MetaRef{file->ino, page, block.value});
-      }
+    }
+    const FsStatus allocated = AllocateDirtyPage(key);
+    if (allocated != FsStatus::kOk) {
+      return FsResult<Bytes>::Error(allocated);
     }
   }
 
@@ -870,6 +863,23 @@ void Vfs::DropCaches() {
   if (flash_ != nullptr) {
     flash_->Clear();
   }
+}
+
+FsStatus Vfs::AllocateDirtyPage(const PageKey& key) {
+  meta_scratch_.Reset();
+  const FsResult<BlockId> block = fs_->AllocatePage(key.ino, key.index, &meta_scratch_);
+  if (!block.ok()) {
+    return block.status;
+  }
+  if (ProcessMetaIo(meta_scratch_) != FsStatus::kOk) {
+    return FsStatus::kIoError;
+  }
+  InsertPage(key, block.value, /*dirty=*/true);
+  clock_->Advance(scaled_page_copy_);
+  if (Journal* journal = fs_->journal(); journal != nullptr) {
+    journal->LogData(MetaRef{key.ino, key.index, block.value});
+  }
+  return FsStatus::kOk;
 }
 
 }  // namespace fsbench

@@ -196,6 +196,11 @@ class Vfs : public CheckpointSink, public IoWriteErrorSink {
   // Inserts a page and processes evictions.
   void InsertPage(const PageKey& key, BlockId block, bool dirty);
 
+  // Gives a written page its block (charging the allocation plan), caches
+  // it dirty, charges the copy and logs the data. Write runs it for a
+  // missing page and for a page cached as a hole.
+  FsStatus AllocateDirtyPage(const PageKey& key);
+
   // Issues asynchronous readahead of up to `pages` pages after `index`.
   void IssueReadahead(OpenFile& file, uint64_t index, uint32_t pages);
 

@@ -1,11 +1,12 @@
 // XFS-like file system: extent-mapped inodes with chunked contiguous
 // allocation (a cheap stand-in for delayed allocation), btree directories
 // whose lookup cost is logarithmic rather than linear, and aggressive
-// readahead. Journal I/O is modeled through the delayed-logging adapter
-// (CilJournal over the generic transaction log): meta-data deltas batch in
-// an in-memory CIL and hit the reserved log region only when the CIL is
-// pushed, so metadata-churn workloads see far fewer log writes than ext3's
-// per-interval JBD commits.
+// readahead. The machine hands the reserved log region to the
+// delayed-logging client (CilJournal over the generic transaction log — see
+// journal.h): meta-data deltas gather in the log's running transaction and
+// hit the region only when it is pushed, every 30 s, on fsync or at
+// CilJournal::kPushBlocks blocks, so metadata-churn workloads see far fewer
+// log writes than ext3's 5 s JBD commits.
 #ifndef SRC_SIM_XFSFS_H_
 #define SRC_SIM_XFSFS_H_
 
@@ -25,8 +26,6 @@ class XfsFs : public FileSystem {
 
   const char* name() const override { return "xfs"; }
   FsKind kind() const override { return FsKind::kXfs; }
-
-  const Extent& journal_region() const { return journal_region_; }
 
   ReadaheadConfig readahead_config() const override {
     // Aggressive: larger sequential window and a bigger read-around cluster.
@@ -62,8 +61,6 @@ class XfsFs : public FileSystem {
 
   // Ensures btree node blocks exist for the current extent count.
   FsStatus EnsureExtentNodes(Inode& inode, MetaIo* io);
-
-  Extent journal_region_;
 };
 
 }  // namespace fsbench

@@ -23,8 +23,7 @@ MachineFactory CrashMachine(FsKind kind, JournalMode mode = JournalMode::kOrdere
     config.ram = 110 * kMiB;
     config.os_reserved = 102 * kMiB;
     config.os_reserve_jitter = 0;
-    config.journal.mode = mode;
-    config.xfs_journal.mode = mode;
+    config.journal_mode = mode;
     config.seed = seed;
     return std::make_unique<Machine>(kind, config);
   };
@@ -245,7 +244,7 @@ TEST(CrashRecoveryTest, FreedBlocksDoNotBreakTheDurableChain) {
   config.ram = 110 * kMiB;
   config.os_reserved = 102 * kMiB;
   config.os_reserve_jitter = 0;
-  config.journal.mode = JournalMode::kJournaled;  // data blocks enter the log
+  config.journal_mode = JournalMode::kJournaled;  // data blocks enter the log
   config.journal_blocks = 16;  // tiny log: every commit forces a checkpoint
   config.seed = 9;
   const auto machine = std::make_unique<Machine>(FsKind::kExt3, config);

@@ -27,8 +27,7 @@ MachineFactory GateMachine(FsKind kind, JournalMode mode) {
     MachineConfig config;
     config.ram = 110 * kMiB;
     config.os_reserved = 102 * kMiB;
-    config.journal.mode = mode;
-    config.xfs_journal.mode = mode;
+    config.journal_mode = mode;
     config.seed = seed;
     return std::make_unique<Machine>(kind, config);
   };

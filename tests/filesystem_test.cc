@@ -428,7 +428,7 @@ TEST(Ext3FsTest, JournalAttachment) {
   DiskModel disk(params, 1);
   IoScheduler scheduler(&disk);
   fs.AttachJournal(std::make_unique<JbdJournal>(&scheduler, &clock, fs.journal_region(),
-                                                JournalConfig{}));
+                                                fs.sectors_per_block(), JournalMode::kOrdered));
   EXPECT_NE(fs.journal(), nullptr);
 }
 

@@ -21,8 +21,7 @@ namespace {
 
 class ReferenceFlashTier {
  public:
-  explicit ReferenceFlashTier(const FlashTierConfig& config)
-      : capacity_pages_(static_cast<size_t>(config.capacity / config.page_size)) {}
+  explicit ReferenceFlashTier(size_t capacity_pages) : capacity_pages_(capacity_pages) {}
 
   bool LookupAndPromote(const PageKey& key) {
     auto it = entries_.find(key);
@@ -111,10 +110,8 @@ void ExpectAgreement(const FlashTier& tier, const ReferenceFlashTier& ref, uint6
 }
 
 TEST(FlashTierDifferentialTest, RandomOpsMatchListAndMapReference) {
-  FlashTierConfig config;
-  config.capacity = 64 * 4 * kKiB;  // 64 pages: constant capacity pressure
-  FlashTier tier(config);
-  ReferenceFlashTier ref(config);
+  FlashTier tier(64);  // 64 pages: constant capacity pressure
+  ReferenceFlashTier ref(64);
 
   Rng rng(2024);
   constexpr uint64_t kOps = 20000;
@@ -156,10 +153,8 @@ TEST(FlashTierDifferentialTest, RandomOpsMatchListAndMapReference) {
 // A capacity-1 tier exercises the evict-on-every-insert edge and the
 // backward-shift path with maximal reuse of one slab node.
 TEST(FlashTierDifferentialTest, CapacityOneMatchesReference) {
-  FlashTierConfig config;
-  config.capacity = 1 * 4 * kKiB;
-  FlashTier tier(config);
-  ReferenceFlashTier ref(config);
+  FlashTier tier(1);
+  ReferenceFlashTier ref(1);
 
   Rng rng(7);
   for (uint64_t op = 0; op < 2000; ++op) {

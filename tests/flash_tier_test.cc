@@ -9,12 +9,6 @@
 namespace fsbench {
 namespace {
 
-FlashTierConfig SmallTier(size_t pages) {
-  FlashTierConfig config;
-  config.capacity = pages * 4 * kKiB;
-  return config;
-}
-
 PageKey Key(uint64_t index) { return PageKey{1, index}; }
 
 // Dropping a file (and everything downstream of it) must not depend on the
@@ -25,9 +19,8 @@ PageKey Key(uint64_t index) { return PageKey{1, index}; }
 // and every membership probe. This is the regression test for the old
 // hash-order whole-file walk.
 TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
-  const FlashTierConfig config = SmallTier(32);
-  FlashTier fresh(config);
-  FlashTier rehashed(config);
+  FlashTier fresh(32);
+  FlashTier rehashed(32);
   rehashed.RehashForTest(4096);
 
   auto drive = [](FlashTier& tier) {
@@ -64,7 +57,7 @@ TEST(FlashTierTest, RemoveFileDeterministicAcrossRehash) {
 }
 
 TEST(FlashTierTest, MissThenHit) {
-  FlashTier tier(SmallTier(8));
+  FlashTier tier(8);
   EXPECT_FALSE(tier.LookupAndPromote(Key(0)));
   tier.Insert(Key(0));
   EXPECT_TRUE(tier.Contains(Key(0)));
@@ -76,7 +69,7 @@ TEST(FlashTierTest, MissThenHit) {
 }
 
 TEST(FlashTierTest, CapacityEnforcedLru) {
-  FlashTier tier(SmallTier(3));
+  FlashTier tier(3);
   tier.Insert(Key(0));
   tier.Insert(Key(1));
   tier.Insert(Key(2));
@@ -88,7 +81,7 @@ TEST(FlashTierTest, CapacityEnforcedLru) {
 }
 
 TEST(FlashTierTest, ReinsertRefreshesRecency) {
-  FlashTier tier(SmallTier(2));
+  FlashTier tier(2);
   tier.Insert(Key(0));
   tier.Insert(Key(1));
   tier.Insert(Key(0));  // refresh: 1 is now LRU
@@ -98,7 +91,7 @@ TEST(FlashTierTest, ReinsertRefreshesRecency) {
 }
 
 TEST(FlashTierTest, RemoveAndRemoveFile) {
-  FlashTier tier(SmallTier(8));
+  FlashTier tier(8);
   tier.Insert(PageKey{1, 0});
   tier.Insert(PageKey{1, 1});
   tier.Insert(PageKey{2, 0});
@@ -116,7 +109,7 @@ TEST(FlashTierTest, RamEvictionsDemoteThroughTheBatchSink) {
   // from a full RAM cache must still reach the flash tier, and the batch
   // must carry their backing blocks (the VFS demotes only mapped pages).
   PageCache ram(2, EvictionPolicyKind::kLru);
-  FlashTier tier(SmallTier(8));
+  FlashTier tier(8);
   PageCache::EvictedBatch evicted;
   for (uint64_t i = 0; i < 5; ++i) {
     evicted.clear();

@@ -1,8 +1,8 @@
-// FlatIndex against std::unordered_map under random inserts, erases,
-// same-key replacements and growths. The test hash sends half the keys to
-// one of the last few slots of the table, whatever its size, so probe runs
-// wrap past the last slot and backward shifts move ids across the wrap; the
-// other half scatter, so a growth moves ids to new places.
+// FlatIndex against std::unordered_map under random inserts, erases and
+// growths. The test hash sends half the keys to one of the last few slots of
+// the table, whatever its size, so probe runs wrap past the last slot and
+// backward shifts move ids across the wrap; the other half scatter, so a
+// growth moves ids to new places.
 #include "src/sim/flat_index.h"
 
 #include <gtest/gtest.h>
@@ -57,18 +57,6 @@ class Owner {
     free_ids_.push_back(id);
   }
 
-  // Puts a fresh id in the slot of `old_id`, which holds the same key, the
-  // way PageCache swaps an inode chain's head.
-  uint32_t Replace(uint32_t old_id) {
-    const uint64_t key = keys_[old_id];
-    const size_t slot = slot_of_[old_id];
-    const uint32_t id = NewId(key);
-    index_.Replace(slot, id);
-    slot_of_[id] = slot;
-    free_ids_.push_back(old_id);
-    return id;
-  }
-
   void Grow() { index_.Rehash(2 * index_.slot_count(), HashOf(), Moved()); }
 
   const FlatIndex& index() const { return index_; }
@@ -115,7 +103,7 @@ void RunRandomOps(uint64_t seed, size_t* wrapped_runs, size_t* wrapped_shifts,
       const uint64_t key = next_key++;
       live[key] = owner.Insert(key);
       live_keys.push_back(key);
-    } else if (roll < 0.9) {
+    } else if (roll < 0.98) {
       const size_t pick = rng.NextBelow(live_keys.size());
       const uint64_t key = live_keys[pick];
       owner.Erase(live[key]);
@@ -123,9 +111,6 @@ void RunRandomOps(uint64_t seed, size_t* wrapped_runs, size_t* wrapped_shifts,
       live_keys[pick] = live_keys.back();
       live_keys.pop_back();
       erased_keys.push_back(key);
-    } else if (roll < 0.98) {
-      const uint64_t key = live_keys[rng.NextBelow(live_keys.size())];
-      live[key] = owner.Replace(live[key]);
     } else {
       owner.Grow();
     }

@@ -16,6 +16,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_set>
 #include <vector>
 
 #include "src/sim/machine.h"
@@ -28,22 +29,24 @@ namespace {
 
 class ReferenceJournal : public Journal {
  public:
-  ReferenceJournal(IoScheduler* scheduler, VirtualClock* clock, Extent region,
-                   const JournalConfig& config)
-      : Journal(config), scheduler_(scheduler), clock_(clock), region_(region) {}
+  static constexpr Nanos kCommitInterval = 5 * kSecond;  // kjournald
+  static constexpr uint32_t kBlockSectors = 8;           // 4 KiB journal blocks
+
+  ReferenceJournal(IoScheduler* scheduler, VirtualClock* clock, Extent region, JournalMode mode)
+      : Journal(mode), scheduler_(scheduler), clock_(clock), region_(region) {}
 
   void BindClock(VirtualClock* clock) override { clock_ = clock; }
 
   void LogMetadata(const MetaRef& ref) override { current_tx_.insert(ref.block); }
 
   void LogData(const MetaRef& ref) override {
-    if (config_.mode == JournalMode::kJournaled) {
+    if (mode_ == JournalMode::kJournaled) {
       current_tx_.insert(ref.block);
     }
   }
 
   void MaybePeriodicCommit() override {
-    if (clock_->now() - last_commit_time_ >= config_.commit_interval) {
+    if (clock_->now() - last_commit_time_ >= kCommitInterval) {
       WriteTransaction(/*sync=*/false);
     }
   }
@@ -66,9 +69,8 @@ class ReferenceJournal : public Journal {
     Nanos completion = clock_->now();
     for (uint64_t i = 0; i < blocks_to_write; ++i) {
       const uint64_t offset = (head_block_ + i) % region_.count;
-      const IoRequest req{IoKind::kWrite,
-                          (region_.start + offset) * config_.block_sectors,
-                          config_.block_sectors};
+      const IoRequest req{IoKind::kWrite, (region_.start + offset) * kBlockSectors,
+                          kBlockSectors};
       if (sync && i + 1 == blocks_to_write) {
         if (const auto done = scheduler_->SubmitSync(req, clock_->now()); done.has_value()) {
           completion = *done;
@@ -166,7 +168,7 @@ std::unique_ptr<Machine> SmallCacheExt3(uint64_t seed, JournalMode mode) {
   config.ram = 103 * kMiB;
   config.os_reserved = 102 * kMiB;
   config.os_reserve_jitter = 0;
-  config.journal.mode = mode;
+  config.journal_mode = mode;
   config.seed = seed;
   return std::make_unique<Machine>(FsKind::kExt3, config);
 }
@@ -184,11 +186,8 @@ TEST_P(JournalEquivalence, NewLogMatchesPreRefactorJournalByteForByte) {
 
   // Twin machine with the journal swapped for the pre-refactor oracle.
   std::unique_ptr<Machine> old = SmallCacheExt3(seed, mode);
-  auto& ext3 = dynamic_cast<Ext3Fs&>(old->fs());
-  JournalConfig journal_config;
-  journal_config.mode = mode;
-  ext3.AttachJournal(std::make_unique<ReferenceJournal>(
-      &old->scheduler(), &old->clock(), ext3.journal_region(), journal_config));
+  old->fs().AttachJournal(std::make_unique<ReferenceJournal>(
+      &old->scheduler(), &old->clock(), old->fs().journal_region(), mode));
 
   TraceDriver stock_driver(&stock->vfs());
   TraceDriver old_driver(&old->vfs());

@@ -21,12 +21,13 @@ struct JournalFixture {
 
   JournalFixture() : disk(params, 1), scheduler(&disk) {}
 
-  JbdJournal MakeJournal(JournalConfig config = {}) {
-    return JbdJournal(&scheduler, &clock, Extent{1000, 8192}, config);
+  JbdJournal MakeJournal(JournalMode mode = JournalMode::kOrdered) {
+    return JbdJournal(&scheduler, &clock, Extent{1000, 8192}, /*block_sectors=*/8, mode);
   }
 
-  CilJournal MakeCilJournal(JournalConfig config = {}) {
-    return CilJournal(&scheduler, &clock, Extent{1000, 8192}, config);
+  CilJournal MakeCilJournal() {
+    return CilJournal(&scheduler, &clock, Extent{1000, 8192}, /*block_sectors=*/8,
+                      JournalMode::kOrdered);
   }
 };
 
@@ -65,18 +66,15 @@ TEST(JournalTest, OrderedModeIgnoresDataBlocks) {
   JbdJournal journal = f.MakeJournal();
   journal.LogData(Ref(99));
   EXPECT_EQ(journal.pending_blocks(), 0u);
-  JournalConfig config;
-  config.mode = JournalMode::kJournaled;
-  JbdJournal data_journal = f.MakeJournal(config);
+  JbdJournal data_journal = f.MakeJournal(JournalMode::kJournaled);
   data_journal.LogData(Ref(99));
   EXPECT_EQ(data_journal.pending_blocks(), 1u);
 }
 
 TEST(JournalTest, PeriodicCommitFiresAfterInterval) {
   JournalFixture f;
-  JournalConfig config;
-  config.commit_interval = 5 * kSecond;
-  JbdJournal journal = f.MakeJournal(config);
+  ASSERT_EQ(JbdJournal::kCommitInterval, 5 * kSecond);
+  JbdJournal journal = f.MakeJournal();
   journal.LogMetadata(Ref(1));
   journal.MaybePeriodicCommit();
   EXPECT_EQ(journal.stats().commits, 0u);  // too early
@@ -88,9 +86,7 @@ TEST(JournalTest, PeriodicCommitFiresAfterInterval) {
 
 TEST(JournalTest, PeriodicTimerResetsAfterCommit) {
   JournalFixture f;
-  JournalConfig config;
-  config.commit_interval = 5 * kSecond;
-  JbdJournal journal = f.MakeJournal(config);
+  JbdJournal journal = f.MakeJournal();
   f.clock.Advance(6 * kSecond);
   journal.LogMetadata(Ref(1));
   journal.MaybePeriodicCommit();
@@ -107,9 +103,7 @@ TEST(JournalTest, CommitClockIsMonotoneAcrossSkewedCursors) {
   // 12 s the interval (5 s) has not elapsed since the 10 s commit, so no
   // periodic commit may fire.
   JournalFixture f;
-  JournalConfig config;
-  config.commit_interval = 5 * kSecond;
-  JbdJournal journal = f.MakeJournal(config);
+  JbdJournal journal = f.MakeJournal();
 
   VirtualClock cursor_a;
   VirtualClock cursor_b;
@@ -156,15 +150,15 @@ TEST(CilJournalTest, DeltasBatchInMemoryUntilPushed) {
   for (BlockId b = 0; b < 16; ++b) {
     journal.LogMetadata(Ref(100 + b));
   }
-  // Nothing on disk yet: the CIL absorbed every delta.
-  EXPECT_EQ(journal.cil_blocks(), 16u);
+  // Nothing on disk yet: the running transaction absorbed every delta.
+  EXPECT_EQ(journal.pending_blocks(), 16u);
   EXPECT_EQ(journal.stats().commits, 0u);
   EXPECT_EQ(f.disk.stats().writes, 0u);
   f.scheduler.Drain(f.clock.now());
   EXPECT_EQ(f.disk.stats().writes, 0u);
 
   journal.CommitSync();
-  EXPECT_EQ(journal.cil_blocks(), 0u);
+  EXPECT_EQ(journal.pending_blocks(), 0u);
   EXPECT_EQ(journal.stats().commits, 1u);
   EXPECT_EQ(journal.stats().cil_pushes, 1u);
   EXPECT_EQ(journal.stats().blocks_logged, 16u);
@@ -179,7 +173,7 @@ TEST(CilJournalTest, RelogbgedBlocksCostOneCopyPerPush) {
   for (int round = 0; round < 50; ++round) {
     journal.LogMetadata(Ref(7));
   }
-  EXPECT_EQ(journal.cil_blocks(), 1u);
+  EXPECT_EQ(journal.pending_blocks(), 1u);
   EXPECT_EQ(journal.stats().cil_inserts, 50u);
   journal.CommitSync();
   EXPECT_EQ(journal.stats().blocks_logged, 1u);
@@ -187,24 +181,26 @@ TEST(CilJournalTest, RelogbgedBlocksCostOneCopyPerPush) {
 
 TEST(CilJournalTest, CilPushesWhenItOutgrowsTheThreshold) {
   JournalFixture f;
-  JournalConfig config;
-  config.cil_push_blocks = 8;
-  CilJournal journal = f.MakeCilJournal(config);
-  for (BlockId b = 0; b < 8; ++b) {
+  CilJournal journal = f.MakeCilJournal();
+  for (BlockId b = 0; b + 1 < CilJournal::kPushBlocks; ++b) {
     journal.LogMetadata(Ref(200 + b));
   }
-  // The 8th distinct delta crossed the threshold: pushed without any fsync.
-  EXPECT_EQ(journal.cil_blocks(), 0u);
+  journal.LogMetadata(Ref(200));  // a duplicate does not grow the transaction
+  EXPECT_EQ(journal.pending_blocks(), CilJournal::kPushBlocks - 1);
+  EXPECT_EQ(journal.stats().cil_pushes, 0u);
+  journal.LogMetadata(Ref(200 + CilJournal::kPushBlocks));
+  // The last distinct delta reached the threshold: pushed without any fsync.
+  EXPECT_EQ(journal.pending_blocks(), 0u);
   EXPECT_EQ(journal.stats().cil_pushes, 1u);
   EXPECT_EQ(journal.stats().commits, 1u);
   EXPECT_EQ(journal.stats().sync_commits, 0u);
+  EXPECT_EQ(journal.stats().blocks_logged, CilJournal::kPushBlocks);
 }
 
 TEST(CilJournalTest, PeriodicPushHonoursTheLogTimer) {
   JournalFixture f;
-  JournalConfig config;
-  config.commit_interval = 30 * kSecond;
-  CilJournal journal = f.MakeCilJournal(config);
+  ASSERT_EQ(CilJournal::kCommitInterval, 30 * kSecond);
+  CilJournal journal = f.MakeCilJournal();
   journal.LogMetadata(Ref(1));
   f.clock.Advance(5 * kSecond);
   journal.MaybePeriodicCommit();
@@ -212,6 +208,25 @@ TEST(CilJournalTest, PeriodicPushHonoursTheLogTimer) {
   f.clock.Advance(26 * kSecond);
   journal.MaybePeriodicCommit();
   EXPECT_EQ(journal.stats().commits, 1u);
+}
+
+TEST(CilJournalTest, AbortedJournalCountsNoPush) {
+  // Deltas logged before an abort stay in the dead log's running
+  // transaction; a push into that log writes nothing and counts nothing.
+  JournalFixture f;
+  CilJournal journal = f.MakeCilJournal();
+  journal.LogMetadata(Ref(1));
+  journal.LogMetadata(Ref(2));
+  journal.Abort();
+  journal.LogMetadata(Ref(3));
+  EXPECT_EQ(journal.stats().cil_inserts, 2u);
+  const Nanos now = f.clock.now();
+  EXPECT_EQ(journal.CommitSync(), now);
+  EXPECT_EQ(journal.CommitSync(), now);
+  EXPECT_EQ(journal.stats().cil_pushes, 0u);
+  EXPECT_EQ(journal.stats().commits, 0u);
+  EXPECT_EQ(journal.stats().sync_commits, 2u);
+  EXPECT_EQ(f.disk.stats().writes, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "src/util/rng.h"
 
 namespace fsbench {
@@ -88,6 +91,76 @@ TEST(MachineTest, BuildsEveryFileSystemKind) {
   // transaction log) since the txn-log refactor.
   ASSERT_NE(xfs.fs().journal(), nullptr);
   EXPECT_NE(xfs.fs().journal()->txn_log(), nullptr);
+}
+
+// Keeps every request that lands in a log region.
+struct LogRequests : IoCompletionObserver {
+  uint64_t first_sector = 0;
+  uint64_t end_sector = 0;
+  std::vector<IoRequest> requests;
+  void OnIoComplete(const IoRequest& req, Nanos completion, bool ok) override {
+    (void)completion;
+    (void)ok;
+    if (req.lba >= first_sector && req.lba < end_sector) {
+      requests.push_back(req);
+    }
+  }
+};
+
+// The two journal settings drive both clients: the mode decides whether a
+// data page is logged, the log is journal_blocks file-system blocks long and
+// written in that block size, and only the commit timer differs.
+TEST(MachineTest, JournalSettingsDriveBothClients) {
+  for (const FsKind kind : {FsKind::kExt3, FsKind::kXfs}) {
+    for (const JournalMode mode : {JournalMode::kOrdered, JournalMode::kJournaled}) {
+      SCOPED_TRACE(std::string(FsKindName(kind)) +
+                   (mode == JournalMode::kJournaled ? " journaled" : " ordered"));
+      MachineConfig config;
+      config.layout.block_size = 8 * kKiB;  // 16-sector log blocks
+      config.journal_mode = mode;
+      config.journal_blocks = 512;
+      Machine machine(kind, config);
+      FileSystem& fs = machine.fs();
+      Journal* journal = fs.journal();
+      ASSERT_NE(journal, nullptr);
+      ASSERT_EQ(fs.journal_region().count, 512u);
+      LogRequests log;
+      log.first_sector = fs.journal_region().start * fs.sectors_per_block();
+      log.end_sector = log.first_sector + 512 * fs.sectors_per_block();
+      machine.scheduler().set_completion_observer(&log);
+
+      Vfs& vfs = machine.vfs();
+      const FsResult<int> fd = vfs.Open("/f", /*create=*/true);
+      ASSERT_TRUE(fd.ok());
+      ASSERT_TRUE(vfs.Write(fd.value, 0, fs.block_size()).ok());
+      ASSERT_EQ(vfs.Fsync(fd.value), FsStatus::kOk);
+      const FsResult<FileAttr> attr = vfs.Stat("/f");
+      ASSERT_TRUE(attr.ok());
+      bool data_logged = false;
+      for (const TxnLog::TxnRecord& record : journal->txn_log()->records()) {
+        for (const MetaRef& ref : record.home) {
+          data_logged = data_logged || (ref.ino == attr.value.ino && ref.index == 0);
+        }
+      }
+      EXPECT_EQ(data_logged, mode == JournalMode::kJournaled);
+      machine.scheduler().Drain(machine.clock().now());
+      ASSERT_FALSE(log.requests.empty());
+      for (const IoRequest& req : log.requests) {
+        EXPECT_EQ(req.sector_count, fs.sectors_per_block());
+      }
+
+      // The next transaction: ext3 commits it after 5 s, xfs after 30 s.
+      ASSERT_EQ(vfs.CreateFile("/g"), FsStatus::kOk);
+      const uint64_t commits = journal->stats().commits;
+      const Nanos start = machine.clock().now();
+      machine.clock().AdvanceTo(start + 5 * kSecond);
+      journal->MaybePeriodicCommit();
+      EXPECT_EQ(journal->stats().commits, commits + (kind == FsKind::kExt3 ? 1 : 0));
+      machine.clock().AdvanceTo(start + 30 * kSecond);
+      journal->MaybePeriodicCommit();
+      EXPECT_EQ(journal->stats().commits, commits + 1);
+    }
+  }
 }
 
 TEST(MachineTest, EvictionPolicyIsConfigurable) {

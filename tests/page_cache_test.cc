@@ -77,6 +77,9 @@ TEST(PageCacheTest, MarkDirtyAndTakeDirty) {
   cache.Insert(Key(1, 1), 11, false);
   EXPECT_TRUE(cache.MarkDirty(Key(1, 0)));
   EXPECT_FALSE(cache.MarkDirty(Key(2, 0)));
+  // A page cached as a hole needs a block before it can be dirtied.
+  cache.Insert(Key(1, 2), kInvalidBlock, false);
+  EXPECT_FALSE(cache.MarkDirty(Key(1, 2)));
   EXPECT_EQ(cache.dirty_count(), 1u);
   const auto dirty = cache.TakeDirty(10);
   ASSERT_EQ(dirty.size(), 1u);

@@ -24,8 +24,8 @@ struct LogFixture {
 
   LogFixture() : disk(params, 1), scheduler(&disk) {}
 
-  TxnLog MakeLog(uint64_t region_blocks, TxnLogConfig config = {}) {
-    return TxnLog(&scheduler, &clock, Extent{1000, region_blocks}, config);
+  TxnLog MakeLog(uint64_t region_blocks) {
+    return TxnLog(&scheduler, &clock, Extent{1000, region_blocks}, /*block_sectors=*/8);
   }
 };
 

@@ -11,14 +11,16 @@
 // results, VFS and disk stats counters, and the virtual clock stay
 // *identical after every single operation*.
 //
-// The oracle deliberately shares the pipeline's three acknowledged semantic
+// The oracle deliberately shares the pipeline's four acknowledged semantic
 // fixes, each covered by its own targeted tests in vfs_test.cc:
 //   - Open(create) resolves parent + leaf in one walk (the old double full
 //     resolution re-charged cached intermediate lookups),
 //   - readahead windows anchor at the page the decision was made for (the
 //     old code issued them from the last page of a coalesced demand batch),
 //   - Fsync writes back only the file's own dirty pages (the old full-dirty
-//     flush was stricter than POSIX).
+//     flush was stricter than POSIX),
+//   - a write to a page cached as a hole allocates its block (the old hit
+//     path only marked the page dirty, so it stayed a hole on disk).
 // Everything else — every charge, every meta-page touch, every eviction —
 // must match byte for byte. The oracle reads a MetaIo through
 // MetaIo::ForEachRead, the one expansion of its MetaRuns, and charges every
@@ -227,13 +229,16 @@ class ReferenceVfs {
       const Bytes page_start = page * page_size;
       const bool partial = (page == first_page && offset > page_start) ||
                            (page == last_page && offset + length < page_start + page_size);
+      MetaIo io;
       if (cache_.Lookup(key)) {
         ++stats_.data_page_hits;
-        cache_.MarkDirty(key);
-        ChargeCpu(config_.page_copy_cost);
+        if (cache_.MarkDirty(key)) {
+          ChargeCpu(config_.page_copy_cost);
+          continue;
+        }
+        // A page cached as a hole gets its block like a missing page.
       } else {
         ++stats_.data_page_misses;
-        MetaIo io;
         if (partial && page_start < old_size) {
           const FsResult<BlockId> mapping = fs_->MapPage(file->ino, page, &io);
           if (!mapping.ok()) {
@@ -250,18 +255,18 @@ class ReferenceVfs {
           }
           io = MetaIo{};
         }
-        const FsResult<BlockId> block = fs_->AllocatePage(file->ino, page, &io);
-        if (!block.ok()) {
-          return FsResult<Bytes>::Error(block.status);
-        }
-        if (ProcessMetaIo(io) != FsStatus::kOk) {
-          return FsResult<Bytes>::Error(FsStatus::kIoError);
-        }
-        InsertPage(key, block.value, /*dirty=*/true);
-        ChargeCpu(config_.page_copy_cost);
-        if (journal != nullptr) {
-          journal->LogData(MetaRef{file->ino, page, block.value});
-        }
+      }
+      const FsResult<BlockId> block = fs_->AllocatePage(file->ino, page, &io);
+      if (!block.ok()) {
+        return FsResult<Bytes>::Error(block.status);
+      }
+      if (ProcessMetaIo(io) != FsStatus::kOk) {
+        return FsResult<Bytes>::Error(FsStatus::kIoError);
+      }
+      InsertPage(key, block.value, /*dirty=*/true);
+      ChargeCpu(config_.page_copy_cost);
+      if (journal != nullptr) {
+        journal->LogData(MetaRef{file->ino, page, block.value});
       }
     }
 
@@ -753,7 +758,8 @@ struct Stack {
         auto ext3 = std::make_unique<Ext3Fs>(kDevice, FsLayoutParams{}, &clock);
         ext3->AttachJournal(std::make_unique<JbdJournal>(&scheduler, &clock,
                                                          ext3->journal_region(),
-                                                         JournalConfig{}));
+                                                         ext3->sectors_per_block(),
+                                                         JournalMode::kOrdered));
         fs = std::move(ext3);
         break;
       }

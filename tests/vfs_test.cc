@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 #include <string>
 
 #include "src/sim/disk_model.h"
@@ -33,7 +34,8 @@ struct VfsFixture {
         auto ext3 = std::make_unique<Ext3Fs>(device, FsLayoutParams{}, &clock);
         ext3->AttachJournal(std::make_unique<JbdJournal>(&scheduler, &clock,
                                                          ext3->journal_region(),
-                                                         JournalConfig{}));
+                                                         ext3->sectors_per_block(),
+                                                         JournalMode::kOrdered));
         fs = std::move(ext3);
         break;
       }
@@ -545,6 +547,56 @@ TEST_P(VfsFsSweep, ShrinkingTruncateDropsCachedHolePages) {
 
   ASSERT_EQ(f.vfs->Truncate("/f", 2 * kPage), FsStatus::kOk);
   EXPECT_EQ(ResidentPages(*f.vfs, ino, 8), 0u);
+  std::string error;
+  EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
+  EXPECT_TRUE(f.vfs->cache().CheckInvariants());
+}
+
+// Blocks covered by completed write requests.
+struct WrittenBlocks : IoCompletionObserver {
+  explicit WrittenBlocks(uint32_t sectors_per_block) : sectors_per_block(sectors_per_block) {}
+  void OnIoComplete(const IoRequest& req, Nanos completion, bool ok) override {
+    (void)completion;
+    if (ok && req.kind == IoKind::kWrite) {
+      for (uint64_t s = req.lba; s < req.lba + req.sector_count; s += sectors_per_block) {
+        blocks.insert(s / sectors_per_block);
+      }
+    }
+  }
+  uint32_t sectors_per_block;
+  std::set<BlockId> blocks;
+};
+
+// A write into pages cached as holes (read after a truncate grew the file)
+// gives each page its block, as a write into an uncached hole does, so the
+// block is counted, and fsync writes the page home.
+TEST_P(VfsFsSweep, WriteToCachedHolePagesAllocatesThem) {
+  VfsFixture f(GetParam());
+  constexpr Bytes kPage = 4 * kKiB;
+  ASSERT_EQ(f.vfs->CreateFile("/f"), FsStatus::kOk);
+  ASSERT_EQ(f.vfs->Truncate("/f", 4 * kPage), FsStatus::kOk);
+  const auto fd = f.vfs->Open("/f");
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(f.vfs->Read(fd.value, 0, 2 * kPage).ok());
+  const InodeId ino = f.vfs->Stat("/f").value.ino;
+  ASSERT_TRUE(f.vfs->cache().Contains(PageKey{ino, 0}));
+  ASSERT_TRUE(f.vfs->cache().Contains(PageKey{ino, 1}));
+
+  const uint64_t hits = f.vfs->stats().data_page_hits;
+  ASSERT_TRUE(f.vfs->Write(fd.value, 0, 2 * kPage).ok());
+  EXPECT_EQ(f.vfs->stats().data_page_hits, hits + 2);
+  MetaIo io;
+  const BlockId blocks[] = {f.fs->MapPage(ino, 0, &io).value, f.fs->MapPage(ino, 1, &io).value};
+  EXPECT_NE(blocks[0], kInvalidBlock);
+  EXPECT_NE(blocks[1], kInvalidBlock);
+  EXPECT_GE(f.vfs->Stat("/f").value.allocated_blocks, 2u);
+
+  WrittenBlocks written(f.fs->sectors_per_block());
+  f.scheduler.set_completion_observer(&written);
+  ASSERT_EQ(f.vfs->Fsync(fd.value), FsStatus::kOk);
+  f.scheduler.Drain(f.clock.now());
+  EXPECT_EQ(written.blocks.count(blocks[0]), 1u);
+  EXPECT_EQ(written.blocks.count(blocks[1]), 1u);
   std::string error;
   EXPECT_TRUE(f.fs->CheckConsistency(&error)) << error;
   EXPECT_TRUE(f.vfs->cache().CheckInvariants());

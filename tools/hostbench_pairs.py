@@ -16,6 +16,11 @@ the host alone does to a comparison. A change has a measurable effect only
 where its numbers leave that spread: compare its win count against base with
 the control's, and its median with base's quartiles.
 
+Before the runs it lists every fsbench:: symbol whose size (nm -S) differs
+between the base and change runners, largest change first, or says that none
+differs: code placement alone can move a host-time comparison, so a change
+that should leave the hot paths alone can be checked to compile them alike.
+
 Per workload and side it prints the median and quartiles of ops / run_s (the
 runner's simulated ops per thread-CPU second), the median setup_s and peak
 RSS, every digest seen and any gate failure. Then, for the change and the
@@ -26,8 +31,10 @@ more than one digest.
 """
 
 import argparse
+import collections
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -62,6 +69,43 @@ def build(tree):
         if subprocess.run(step, stdout=sys.stderr).returncode != 0:
             fail("build failed: " + " ".join(step))
     return os.path.join(binary_dir, "hostbench_runner")
+
+
+def symbol_sizes(binary):
+    """Demangled fsbench:: symbol name -> sorted sizes of its copies."""
+    out = subprocess.run(["nm", "-S", "-C", binary], capture_output=True, text=True,
+                         check=True).stdout
+    sizes = collections.defaultdict(list)
+    for line in out.splitlines():
+        # address, size, type, name; symbols without a size have three fields.
+        fields = line.split(None, 3)
+        if len(fields) == 4 and "fsbench::" in fields[3]:
+            sizes[fields[3]].append(int(fields[1], 16))
+    return {name: sorted(copies) for name, copies in sizes.items()}
+
+
+def show_sizes(sizes):
+    """Sizes of a symbol's copies, '-' when the binary lacks it."""
+    return "/".join(str(size) for size in sizes) if sizes else "-"
+
+
+def report_symbol_sizes(base, change):
+    """Prints the fsbench:: symbols whose sizes differ, largest change first."""
+    if shutil.which("nm") is None:
+        print("symbol sizes: nm not found, not compared")
+        return
+    old, new = symbol_sizes(base), symbol_sizes(change)
+    rows = []
+    for name in old.keys() | new.keys():
+        before, after = old.get(name, []), new.get(name, [])
+        if before != after:
+            rows.append((abs(sum(after) - sum(before)), name, before, after))
+    if not rows:
+        print("symbol sizes: no fsbench:: symbol differs between base and change")
+        return
+    print("symbol sizes: %d fsbench:: symbols differ (bytes, base -> change)" % len(rows))
+    for _, name, before, after in sorted(rows, key=lambda r: (-r[0], r[1])):
+        print("  %12s -> %-12s %s" % (show_sizes(before), show_sizes(after), name))
 
 
 def run_rep(runner, workload, args):
@@ -146,10 +190,10 @@ def main(argv):
     change = base if os.path.samefile(args.base, args.change) else build(
         os.path.abspath(args.change))
     runners = {"base": base, "control": base, "change": change}
+    report_symbol_sizes(base, change)
     broken = False
-    for i, workload in enumerate(args.workloads):
-        if i > 0:
-            print()
+    for workload in args.workloads:
+        print()
         broken = compare(workload, runners, args) or broken
     sys.exit(1 if broken else 0)
 
