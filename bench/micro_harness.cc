@@ -16,8 +16,10 @@
 #include "src/core/stats.h"
 #include "src/core/timeline.h"
 #include "src/sim/block_allocator.h"
+#include "src/sim/directory.h"
 #include "src/sim/disk_model.h"
 #include "src/sim/flash_tier.h"
+#include "src/sim/inode_table.h"
 #include "src/sim/io_scheduler.h"
 #include "src/sim/machine.h"
 #include "src/sim/page_cache.h"
@@ -214,23 +216,81 @@ void BM_Ext2NegativeLookup(benchmark::State& state) {
 BENCHMARK(BM_Ext2NegativeLookup)->Arg(64)->Arg(2000)->Arg(20000);
 
 void BM_Ext2NegativeLookupMemoMiss(benchmark::State& state) {
-  // BM_Ext2NegativeLookup, but each iteration first inserts and removes one
-  // unrelated page, so a resident page leaves the cache before every scan
-  // and PageCache::LookupRun's run memo never answers it: the memo's miss
-  // path, plus the insert and remove.
+  // BM_Ext2NegativeLookup, but each iteration first removes the directory's
+  // inode-table block from the page cache and inserts it again. Every run
+  // of the scan reads that block in its chain, so its leaving the cache
+  // empties PageCache::LookupRun's run memo, which then never answers the
+  // scan: the memo's miss path, plus the remove and insert.
   Machine machine(FsKind::kExt2, PaperTestbedConfig());
   Vfs& vfs = machine.vfs();
   if (!MakeExt2Directory(state, vfs, state.range(0))) {
     return;
   }
-  const PageKey unrelated{1'000'000'000, 0};
+  MetaIo io;
+  const FsResult<InodeId> dir = machine.fs().Lookup(kRootInode, "d", &io);
+  if (!dir.ok()) {
+    state.SkipWithError("lookup failed");
+    return;
+  }
+  const BlockId itable_block = machine.fs().FindInode(dir.value)->itable_block;
+  const PageKey itable{kMetaInode, itable_block};
   for (auto _ : state) {
-    vfs.cache().Insert(unrelated, kInvalidBlock, false, nullptr);
-    vfs.cache().Remove(unrelated);
+    vfs.cache().Remove(itable);
+    vfs.cache().Insert(itable, itable_block, false, nullptr);
     benchmark::DoNotOptimize(vfs.Stat("/d/missing").status);
   }
 }
 BENCHMARK(BM_Ext2NegativeLookupMemoMiss)->Arg(20000);
+
+void BM_DirectoryInsertRemove(benchmark::State& state) {
+  // The directory side of bigdir_churn's create/unlink pair: a directory of
+  // range(0) names removes its oldest name and inserts a new one per
+  // iteration, reusing the hole the removal left. Names cycle through a
+  // prebuilt ring of twice the directory's size, so no string is built in
+  // the loop.
+  const int64_t size = state.range(0);
+  std::vector<std::string> names;
+  names.reserve(static_cast<size_t>(2 * size));
+  for (int64_t i = 0; i < 2 * size; ++i) {
+    names.push_back('f' + std::to_string(i));
+  }
+  Directory dir;
+  for (int64_t i = 0; i < size; ++i) {
+    dir.Insert(names[i], static_cast<InodeId>(i + 1));
+  }
+  size_t oldest = 0;
+  for (auto _ : state) {
+    dir.Remove(names[oldest]);
+    const size_t fresh = (oldest + static_cast<size_t>(size)) % names.size();
+    dir.Insert(names[fresh], static_cast<InodeId>(fresh + 1));
+    oldest = (oldest + 1) % names.size();
+  }
+  benchmark::DoNotOptimize(dir.entry_count());
+}
+BENCHMARK(BM_DirectoryInsertRemove)->Arg(64)->Arg(20000);
+
+void BM_InodeTableInsertErase(benchmark::State& state) {
+  // The inode side of the same pair: a table of range(0) inodes erases its
+  // oldest inode and inserts a new one per iteration, reusing the slab
+  // position the erase freed.
+  const InodeId size = static_cast<InodeId>(state.range(0));
+  InodeTable table;
+  for (InodeId ino = 1; ino <= size; ++ino) {
+    Inode inode;
+    inode.ino = ino;
+    table.Insert(std::move(inode));
+  }
+  InodeId oldest = 1;
+  for (auto _ : state) {
+    table.Erase(oldest);
+    Inode inode;
+    inode.ino = oldest + size;
+    table.Insert(std::move(inode));
+    ++oldest;
+  }
+  benchmark::DoNotOptimize(table.size());
+}
+BENCHMARK(BM_InodeTableInsertErase)->Arg(64)->Arg(20000);
 
 void BM_BlockAllocatorCheckInvariants(benchmark::State& state) {
   // The fsck-style bitmap recount that FileSystem::CheckConsistency makes,

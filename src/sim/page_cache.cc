@@ -17,6 +17,7 @@ PageCache::PageCache(size_t capacity_pages, EvictionPolicyKind policy_kind)
   links_.reserve(max_nodes);
   dirty_links_.reserve(max_nodes);
   blocks_.reserve(max_nodes);
+  run_breaks_.reserve(kRunMoveLog);
 }
 
 // --- slab -------------------------------------------------------------------
@@ -211,7 +212,7 @@ void PageCache::EvictOne(EvictedBatch* evicted) {
     ++stats_.dirty_evictions;
   }
   --resident_count_;
-  ++resident_epoch_;
+  resident_epoch_ += IsRunNamed(victim) ? 1 : 0;
   ++stats_.evictions;
   PolicyDemoteVictim(victim);
 }
@@ -306,11 +307,10 @@ void PageCache::Insert(const PageKey& key, BlockId block, bool dirty, EvictedBat
   ++stats_.insertions;
 }
 
-const PageCache::RunMemoEntry* PageCache::FindRunMemo(std::span<const PageKey> chain,
-                                                      InodeId ino, uint64_t first_page,
-                                                      uint32_t pages) const {
+PageCache::RunMemoEntry* PageCache::FindRunMemo(std::span<const PageKey> chain, InodeId ino,
+                                                uint64_t first_page, uint32_t pages) {
   for (uint32_t e = 0; e < run_memo_size_; ++e) {
-    const RunMemoEntry& entry = run_memo_[e];
+    RunMemoEntry& entry = run_memo_[e];
     if (entry.ino == ino && entry.first_page == first_page && entry.pages == pages &&
         std::equal(chain.begin(), chain.end(), entry.chain, entry.chain + entry.chain_size)) {
       return &entry;
@@ -354,6 +354,49 @@ bool PageCache::RunMemoMatchesTable(const RunMemoEntry& entry) const {
   return true;
 }
 
+void PageCache::AppendRunMove(uint32_t n) {
+  run_moves_[run_move_count_ % kRunMoveLog] = n;
+  ++run_move_count_;
+}
+
+void PageCache::CollectRunBreaks(const RunMemoEntry& entry) {
+  run_breaks_.clear();
+  for (uint64_t c = entry.applied_at; c < run_move_count_; ++c) {
+    // Within the epoch the entry's pages keep their nodes, so a logged node
+    // holds one of its page keys now exactly when it is that page's node.
+    const PageKey& key = slab_.key(run_moves_[c % kRunMoveLog]);
+    const uint64_t i = key.index - entry.first_page;
+    if (key.ino == entry.ino && i < entry.pages - 1) {
+      run_breaks_.push_back(static_cast<uint32_t>(i));
+    }
+  }
+  std::sort(run_breaks_.begin(), run_breaks_.end());
+}
+
+bool PageCache::RunPageLogged(const RunMemoEntry& entry, uint32_t i) const {
+  const uint32_t n = entry.nodes[entry.chain_size + i];
+  for (uint64_t c = entry.applied_at; c < run_move_count_; ++c) {
+    if (run_moves_[c % kRunMoveLog] == n) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool PageCache::RunPagesInPlace(const RunMemoEntry& entry) const {
+  const uint32_t* page = entry.nodes.data() + entry.chain_size;
+  for (uint32_t i = 0; i + 1 < entry.pages; ++i) {
+    if (!HitMovesToFront(page[i]) && !RunPageLogged(entry, i)) {
+      return false;
+    }
+    if (i + 2 < entry.pages && links_[page[i]].prev != page[i + 1] &&
+        !RunPageLogged(entry, i) && !RunPageLogged(entry, i + 1)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
                           uint32_t pages) {
   assert(pages > 0);
@@ -362,24 +405,32 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
     run_memo_size_ = 0;
     run_memo_next_ = 0;
   }
-  const std::vector<uint32_t>* nodes = &run_nodes_;
-  if (const RunMemoEntry* hit = FindRunMemo(chain, ino, first_page, pages); hit != nullptr) {
-    assert(RunMemoMatchesTable(*hit));
-    nodes = &hit->nodes;
+  RunMemoEntry* entry = FindRunMemo(chain, ino, first_page, pages);
+  // Whether the page touches go by the move log (see below): the entry's
+  // pages last moved as one stretch, and the log since then is short for
+  // the run and has not wrapped.
+  bool by_log = false;
+  if (entry != nullptr) {
+    assert(RunMemoMatchesTable(*entry));
+    by_log = entry->contiguous &&
+             run_move_count_ - entry->applied_at < std::min(pages / 2, kRunMoveLog);
   } else if (!ProbeRun(chain, ino, first_page, pages)) {
     return false;
   } else if (chain.size() <= kRunMemoChainKeys) {
-    RunMemoEntry& entry = run_memo_[run_memo_next_];
+    entry = &run_memo_[run_memo_next_];
     run_memo_next_ = (run_memo_next_ + 1) % kRunMemoEntries;
     run_memo_size_ = std::min(run_memo_size_ + 1, kRunMemoEntries);
-    entry.ino = ino;
-    entry.first_page = first_page;
-    entry.pages = pages;
-    entry.chain_size = static_cast<uint32_t>(chain.size());
-    std::copy(chain.begin(), chain.end(), entry.chain);
-    entry.nodes.swap(run_nodes_);
-    nodes = &entry.nodes;
+    entry->ino = ino;
+    entry->first_page = first_page;
+    entry->pages = pages;
+    entry->chain_size = static_cast<uint32_t>(chain.size());
+    std::copy(chain.begin(), chain.end(), entry->chain);
+    entry->nodes.swap(run_nodes_);
+    for (size_t k = 0; k < entry->nodes.size(); ++k) {
+      list_meta_[entry->nodes[k]] |= k < chain.size() ? kRunNamedBit : kRunNamedBit | kRunPageBit;
+    }
   }
+  const std::vector<uint32_t>& nodes = entry != nullptr ? entry->nodes : run_nodes_;
   // A hit never evicts, so every lookup of the sequence hits. Afterwards a
   // key's recency state depends only on its last hit (LRU, 2Q's Am and ARC
   // move it to the front of its list; CLOCK's bit and 2Q's A1in ignore
@@ -396,8 +447,13 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
   // before the block moves; any other touch splices the block first.
   uint32_t block_front = kNil;
   uint32_t block_back = kNil;
+  bool all_moved = true;  // every touch so far moved its node to the front
   const auto flush = [&] {
     if (block_front != kNil) {
+      LogRunMove(block_front);
+      if (block_back != block_front) {
+        LogRunMove(block_back);
+      }
       AnchorOf(ListOf(block_front)).SpliceToFront(links_, block_front, block_back);
       block_front = kNil;
     }
@@ -406,6 +462,7 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
     if (!HitMovesToFront(n)) {
       flush();
       PolicyResidentAccess(n);
+      all_moved = false;
     } else if (block_front != kNil && links_[block_front].prev == n) {
       block_front = n;
     } else {
@@ -414,13 +471,59 @@ bool PageCache::LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t 
     }
   };
   const size_t chain_size = chain.size();
-  for (size_t k = chain_size; k + 1 < nodes->size(); ++k) {
-    touch((*nodes)[k]);
+  const uint32_t* page = nodes.data() + chain_size;
+  if (by_log) {
+    // The last application left pages 0..pages-2 at the front of one list
+    // whose hits move a page to the front (LRU, 2Q's Am, ARC's T2), page
+    // i + 1 just before page i. Lists gain members only at the head (CLOCK's
+    // ring, which inserts behind its hand, is never contiguous), so page
+    // i + 1 still lies just before page i unless one of the two was detached
+    // since. Such a page leaves that list only by leaving residency, which
+    // empties the memo because the entry names it, so each detach since was
+    // a move to the front, and those are logged. Where the log names neither
+    // page, the walk's check of page i + 1 passes without reading a link.
+    // So only a logged page and the page after it are touched; between them
+    // the pending block's front moves to the stretch's last page. A splice
+    // between two such touches changes the back link of the block's first
+    // node, of the node after its last and of the old head, none of them a
+    // page whose check is skipped, so every check that is made reads what
+    // the walk would read.
+    assert(RunPagesInPlace(*entry));
+    CollectRunBreaks(*entry);
+    uint32_t next = 0;  // pages [0, next) are applied
+    const auto touch_from = [&](uint32_t i) {
+      if (i >= next) {
+        if (i > next) {
+          block_front = page[i - 1];
+        }
+        touch(page[i]);
+        next = i + 1;
+      }
+    };
+    touch_from(0);
+    for (const uint32_t i : run_breaks_) {
+      touch_from(i);
+      if (i + 2 < pages) {
+        touch_from(i + 1);
+      }
+    }
+    if (next + 1 < pages) {
+      block_front = page[pages - 2];
+    }
+  } else {
+    for (uint32_t i = 0; i + 1 < pages; ++i) {
+      touch(page[i]);
+    }
+  }
+  flush();
+  if (entry != nullptr) {
+    entry->applied_at = run_move_count_;
+    entry->contiguous = all_moved;
   }
   for (size_t k = 0; k < chain_size; ++k) {
-    touch((*nodes)[k]);
+    touch(nodes[k]);
   }
-  touch(nodes->back());
+  touch(page[pages - 1]);
   flush();
   stats_.hits += static_cast<uint64_t>(chain_size + 1) * pages;
   return true;
@@ -463,10 +566,10 @@ void PageCache::RemoveResidentNode(uint32_t n) {
   if (kind_ == EvictionPolicyKind::kClock && clock_hand_ == n) {
     clock_hand_ = links_[n].next;
   }
+  resident_epoch_ += IsRunNamed(n) ? 1 : 0;
   ListUnlink(n);
   DropNode(n);
   --resident_count_;
-  ++resident_epoch_;
 }
 
 void PageCache::Remove(const PageKey& key) {
@@ -573,11 +676,19 @@ bool PageCache::CheckInvariants(const char** why) const {
     return false;
   }
   // Run memo: within its epoch, every entry still names resident nodes
-  // holding its keys (an older epoch's entries are never read).
+  // holding its keys (an older epoch's entries are never read), and a
+  // contiguous entry's pages are where its next hit may assume them while
+  // its move log window is whole.
   if (run_memo_epoch_ == resident_epoch_) {
     for (uint32_t e = 0; e < run_memo_size_; ++e) {
-      if (!RunMemoMatchesTable(run_memo_[e])) {
+      const RunMemoEntry& entry = run_memo_[e];
+      if (!RunMemoMatchesTable(entry)) {
         *why = "run memo entry of the current epoch names a stale node";
+        return false;
+      }
+      if (entry.contiguous && run_move_count_ - entry.applied_at <= kRunMoveLog &&
+          !RunPagesInPlace(entry)) {
+        *why = "run memo entry's page moved without a move log entry";
         return false;
       }
     }

@@ -12,7 +12,7 @@
 // a hot path only pulls the cache lines it needs):
 //
 //   slab_           PageKey ──hash──> node id n, plus keys, hashes, slots
-//   list_meta_[n]   packed {list id, dirty, referenced} byte
+//   list_meta_[n]   packed {list id, dirty, referenced, run memo} byte
 //   links_[n]       IndexList links of the policy list tagged by the list id
 //   dirty_links_[n] IndexList links of the dirty FIFO (resident dirty nodes)
 //   blocks_[n]      backing device block
@@ -35,8 +35,17 @@
 // (run_memo_, replaced round-robin), so a repeated directory scan skips its
 // probes. A node id names the same key until DropNode frees it, and a
 // resident node leaves residency only in EvictOne or RemoveResidentNode.
-// Both bump resident_epoch_, and the memo is emptied whenever its epoch is
-// behind, so every entry it holds names resident nodes with their keys.
+// Both bump resident_epoch_ when the departing node carries kRunNamedBit,
+// which an entry sets on every node it records, and the memo is emptied
+// whenever its epoch is behind, so every entry it holds names resident nodes
+// with their keys. Other departures leave the memo alone.
+//
+// Move log: run_moves_ is a ring of the last kRunMoveLog page nodes of memo
+// entries (kRunPageBit) moved to the front of their policy list. An entry
+// whose pages 0..n-2 were last applied as one stretch at the front of a
+// list (LRU's, 2Q's Am or ARC's T2, which a page leaves only by leaving
+// residency) finds them still in that order, except next to the pages the
+// log names since then; a memo hit then checks recency only there.
 #ifndef SRC_SIM_PAGE_CACHE_H_
 #define SRC_SIM_PAGE_CACHE_H_
 
@@ -107,8 +116,9 @@ class PageCache {
   // sequence chain, page 0, chain, page 1, ... Each key is probed once. If
   // every key is resident, applies the hits of that sequence and returns
   // true. Otherwise returns false and changes nothing, misses included: the
-  // caller then makes the lookups one by one. A run resolved since the last
-  // page left the cache is answered from the run memo without probing.
+  // caller then makes the lookups one by one. A run resolved since a key of
+  // a remembered run last left the cache is answered from the run memo
+  // without probing.
   bool LookupRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
                  uint32_t pages);
 
@@ -184,10 +194,14 @@ class PageCache {
   static constexpr uint32_t kNil = FlatIndex::kEmpty;
 
   // Packed per-node state byte: low 4 bits CacheListId, bit 4 dirty,
-  // bit 5 CLOCK referenced.
+  // bit 5 CLOCK referenced, bit 6 a page of a run memo entry, bit 7 named
+  // by a run memo entry (chain key or page). An entry sets bits 6 and 7
+  // when it records a run; only DropNode clears them.
   static constexpr uint8_t kListMask = 0x0F;
   static constexpr uint8_t kDirtyBit = 0x10;
   static constexpr uint8_t kReferencedBit = 0x20;
+  static constexpr uint8_t kRunPageBit = 0x40;
+  static constexpr uint8_t kRunNamedBit = 0x80;
 
   CacheListId ListOf(uint32_t n) const {
     return static_cast<CacheListId>(list_meta_[n] & kListMask);
@@ -198,6 +212,7 @@ class PageCache {
   }
   bool IsDirty(uint32_t n) const { return (list_meta_[n] & kDirtyBit) != 0; }
   bool IsResidentNode(uint32_t n) const { return IsResidentList(ListOf(n)); }
+  bool IsRunNamed(uint32_t n) const { return (list_meta_[n] & kRunNamedBit) != 0; }
 
   // --- slab ---
   uint32_t NewNode(const PageKey& key, uint32_t hash);
@@ -213,7 +228,10 @@ class PageCache {
     AnchorOf(id).PushFront(links_, n);
   }
   void ListUnlink(uint32_t n) { AnchorOf(ListOf(n)).Unlink(links_, n); }
-  void ListMoveToFront(uint32_t n) { AnchorOf(ListOf(n)).MoveToFront(links_, n); }
+  void ListMoveToFront(uint32_t n) {
+    LogRunMove(n);
+    AnchorOf(ListOf(n)).MoveToFront(links_, n);
+  }
 
   // --- dirty FIFO ---
   void DirtyChainAppend(uint32_t n) {
@@ -246,6 +264,7 @@ class PageCache {
   // --- run memo ---
   static constexpr uint32_t kRunMemoEntries = 8;
   static constexpr uint32_t kRunMemoChainKeys = 4;  // MapPage's longest chain
+  static constexpr uint32_t kRunMoveLog = 1024;     // move log ring size
   // A resolved run: its identity, and its node ids, chain first, then pages.
   struct RunMemoEntry {
     InodeId ino = kInvalidInode;
@@ -254,14 +273,38 @@ class PageCache {
     uint32_t chain_size = 0;
     PageKey chain[kRunMemoChainKeys];
     std::vector<uint32_t> nodes;
+    // run_move_count_ right after pages 0..pages-2 were last applied, and
+    // whether each of those touches moved its page to the front of its list
+    // (LRU, 2Q's Am, ARC's T2), leaving page i + 1 just before page i.
+    uint64_t applied_at = 0;
+    bool contiguous = false;
   };
-  const RunMemoEntry* FindRunMemo(std::span<const PageKey> chain, InodeId ino,
-                                  uint64_t first_page, uint32_t pages) const;
+  RunMemoEntry* FindRunMemo(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
+                            uint32_t pages);
   // Probes every key of the run into run_nodes_; false if one is not resident.
   bool ProbeRun(std::span<const PageKey> chain, InodeId ino, uint64_t first_page,
                 uint32_t pages);
   // Every key of `entry` finds its recorded node, and the node is resident.
   bool RunMemoMatchesTable(const RunMemoEntry& entry) const;
+  // Logs n in the move log if it is a page of a memo entry. Called before
+  // each move of a node to the front of its list, alone or at an end of a
+  // spliced block; the append is out of line.
+  void LogRunMove(uint32_t n) {
+    if ((list_meta_[n] & kRunPageBit) != 0) [[unlikely]] {
+      AppendRunMove(n);
+    }
+  }
+  [[gnu::cold, gnu::noinline]] void AppendRunMove(uint32_t n);
+  // Fills run_breaks_ with the sorted indices i < pages - 1 of the entry's
+  // pages in the move log since its applied_at, repeats included.
+  void CollectRunBreaks(const RunMemoEntry& entry);
+  // Page i of `entry` is in the move log since its applied_at.
+  bool RunPageLogged(const RunMemoEntry& entry, uint32_t i) const;
+  // What a contiguous entry's memo hit relies on while its log window has
+  // not wrapped: each of its pages 0..pages-2 that the log does not name is
+  // in a list whose hits move it to the front, and lies just behind the
+  // next page when the log names neither.
+  bool RunPagesInPlace(const RunMemoEntry& entry) const;
 
   size_t capacity_;
   EvictionPolicyKind kind_;
@@ -287,8 +330,9 @@ class PageCache {
 
   size_t resident_count_ = 0;
   size_t live_count_ = 0;  // resident + ghost
-  // Bumped whenever a resident node leaves residency (EvictOne,
-  // RemoveResidentNode); the run memo is valid only within one epoch.
+  // Bumped whenever a node that a run memo entry names leaves residency
+  // (EvictOne, RemoveResidentNode); the run memo is valid only within one
+  // epoch.
   uint64_t resident_epoch_ = 0;
   PageCacheStats stats_;
 
@@ -297,6 +341,10 @@ class PageCache {
   uint64_t run_memo_epoch_ = 0;  // resident_epoch_ the entries belong to
   uint32_t run_memo_size_ = 0;   // entries [0, size) are valid
   uint32_t run_memo_next_ = 0;   // the entry the next record replaces
+  // Move log: append number c lives at run_moves_[c % kRunMoveLog].
+  uint32_t run_moves_[kRunMoveLog] = {};
+  uint64_t run_move_count_ = 0;
+  std::vector<uint32_t> run_breaks_;  // CollectRunBreaks' output, reused
 };
 
 // --- inline hot path --------------------------------------------------------

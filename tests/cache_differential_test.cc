@@ -481,6 +481,201 @@ TEST_P(RunMemoDifferential, RepeatedRunsMatchExpandedLookups) {
   EXPECT_TRUE(cache.CheckInvariants());
 }
 
+// The cache and the reference policies driven in lock step, for the traces
+// below. A run that LookupRun does not charge whole is charged one lookup at
+// a time with an insert on each miss, as the VFS does.
+class Lockstep {
+ public:
+  Lockstep(size_t capacity, EvictionPolicyKind kind) : cache_(capacity, kind), oracle_(capacity, kind) {}
+
+  const PageCache& cache() const { return cache_; }
+  bool Contains(const PageKey& key) const { return oracle_.Contains(key); }
+  // Keys evicted so far, in order.
+  const std::vector<PageKey>& victims() const { return victims_; }
+
+  void Insert(const PageKey& key) {
+    const PageCache::EvictedBatch evicted = cache_.Insert(key, BlockFor(key), false);
+    const auto expected = oracle_.Insert(key, BlockFor(key), false);
+    ASSERT_EQ(evicted.size(), expected.size());
+    for (uint32_t i = 0; i < evicted.size(); ++i) {
+      ASSERT_TRUE(EvictedEqual(evicted[i], expected[i]))
+          << "victim " << i << ": slab {" << evicted[i].key.ino << "," << evicted[i].key.index
+          << "} vs oracle {" << expected[i].key.ino << "," << expected[i].key.index << "}";
+      victims_.push_back(evicted[i].key);
+    }
+  }
+  void Touch(const PageKey& key) {
+    const bool hit = cache_.Lookup(key);
+    ASSERT_EQ(hit, oracle_.Lookup(key));
+    if (!hit) {
+      ASSERT_NO_FATAL_FAILURE(Insert(key));
+    }
+  }
+  void Remove(const PageKey& key) {
+    cache_.Remove(key);
+    oracle_.Remove(key);
+  }
+  // Charges the run; `charged` tells whether LookupRun took it whole.
+  void Run(const std::vector<PageKey>& chain, InodeId ino, uint64_t first_page, uint32_t pages,
+           bool* charged) {
+    bool all_resident = std::all_of(chain.begin(), chain.end(),
+                                    [&](const PageKey& key) { return oracle_.Contains(key); });
+    for (uint32_t i = 0; i < pages; ++i) {
+      all_resident = all_resident && oracle_.Contains(PageKey{ino, first_page + i});
+    }
+    const PageCacheStats before = cache_.stats();
+    *charged = cache_.LookupRun(chain, ino, first_page, pages);
+    ASSERT_EQ(*charged, all_resident);
+    const auto lookup = [&](const PageKey& key) {
+      if (*charged) {
+        ASSERT_TRUE(oracle_.Lookup(key));
+      } else {
+        ASSERT_NO_FATAL_FAILURE(Touch(key));
+      }
+    };
+    for (uint32_t i = 0; i < pages; ++i) {
+      for (const PageKey& key : chain) {
+        ASSERT_NO_FATAL_FAILURE(lookup(key));
+      }
+      ASSERT_NO_FATAL_FAILURE(lookup(PageKey{ino, first_page + i}));
+    }
+    if (*charged) {
+      ASSERT_EQ(cache_.stats().hits - before.hits, (chain.size() + 1) * pages);
+    }
+  }
+  // Compares what both sides expose and checks the cache's invariants.
+  void Check() {
+    ASSERT_EQ(cache_.size(), oracle_.size());
+    ASSERT_EQ(cache_.dirty_count(), oracle_.dirty_count());
+    if (cache_.policy_kind() == EvictionPolicyKind::kArc) {
+      ASSERT_EQ(cache_.arc_target_t1(), oracle_.policy()->target_t1());
+    }
+    const char* why = nullptr;
+    ASSERT_TRUE(cache_.CheckInvariants(&why)) << why;
+  }
+  // Fresh keys evict the whole resident set in its final recency order.
+  void Drain(InodeId fresh_ino) {
+    for (uint64_t n = 0; n < 2 * cache_.capacity(); ++n) {
+      ASSERT_NO_FATAL_FAILURE(Insert(PageKey{fresh_ino, n})) << "drain " << n;
+    }
+    ASSERT_NO_FATAL_FAILURE(Check());
+  }
+
+ private:
+  PageCache cache_;
+  reference::ReferencePageCache oracle_;
+  std::vector<PageKey> victims_;
+};
+
+// A run longer than twice the page cache's move log (1,024 entries), applied
+// again after bursts of single hits on its pages: bursts of up to 600 hits
+// leave a short log, which a repeated run reads instead of checking every
+// page, and bursts of 1,025 to 1,174 log more moves than the log keeps,
+// which it must not read. Runs over a prefix and a middle stretch of the same
+// pages splice blocks out of it between applications, and bursts of fresh
+// keys evict.
+TEST_P(RunMemoDifferential, LongRunAcrossAWrappedMoveLog) {
+  const TraceParam param = GetParam();
+  Lockstep lockstep(2560 + param.capacity / 4, param.kind);
+  Rng rng(param.seed * 0xD1B54A32D192ED03ULL + 11);
+  constexpr uint32_t kLongPages = 2400;
+  const std::vector<PageKey> long_chain = {PageKey{9, 1}};
+  const std::vector<PageKey> prefix_chain = {PageKey{9, 2}};
+  uint64_t fresh = 0;
+  int charged_runs = 0;
+  int wrapped_then_charged = 0;
+  for (int step = 0; step < 160; ++step) {
+    const uint64_t action = rng.NextBelow(10);
+    bool charged = false;
+    if (action < 3) {
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(long_chain, 1, 0, kLongPages, &charged))
+          << "step " << step;
+    } else if (action < 4) {
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(prefix_chain, 1, 0, 300, &charged)) << "step " << step;
+    } else if (action < 5) {
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(long_chain, 1, 1000, 500, &charged))
+          << "step " << step;
+    } else if (action < 9) {
+      const bool wrap = rng.NextBelow(2) == 0;
+      const uint64_t hits = wrap ? 1025 + rng.NextBelow(150) : 1 + rng.NextBelow(600);
+      for (uint64_t h = 0; h < hits; ++h) {
+        ASSERT_NO_FATAL_FAILURE(lockstep.Touch(PageKey{1, rng.NextBelow(kLongPages)}))
+            << "step " << step;
+      }
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(long_chain, 1, 0, kLongPages, &charged))
+          << "step " << step;
+      wrapped_then_charged += wrap && charged ? 1 : 0;
+    } else {
+      for (uint64_t n = 1 + rng.NextBelow(64); n > 0; --n) {
+        ASSERT_NO_FATAL_FAILURE(lockstep.Insert(PageKey{3, fresh++})) << "step " << step;
+      }
+    }
+    charged_runs += charged ? 1 : 0;
+    ASSERT_NO_FATAL_FAILURE(lockstep.Check()) << "step " << step;
+  }
+  EXPECT_GT(charged_runs, 0);
+  if (param.kind == EvictionPolicyKind::kLru || param.kind == EvictionPolicyKind::kArc) {
+    // Where the run's pages can all stay resident, the log did wrap between
+    // two applications of it.
+    EXPECT_GT(wrapped_then_charged, 0);
+  }
+  ASSERT_NO_FATAL_FAILURE(lockstep.Drain(4));
+}
+
+// A departing chain key empties the run memo as a departing page does. Two
+// runs cover the same pages with different chain keys; then the first run's
+// chain key leaves the cache, by Remove or by eviction, and the first run
+// must fail while the second may still be answered from the memo. Only keys
+// a remembered run names empty the memo: fresh keys evicted on the way
+// leave it as it is. Counted are the departures after which every page and
+// the other chain key stayed, where a stale memo entry would answer.
+TEST_P(RunMemoDifferential, ChainKeyDeparturesEmptyTheMemo) {
+  const TraceParam param = GetParam();
+  Lockstep lockstep(param.capacity, param.kind);
+  Rng rng(param.seed * 0xA0761D6478BD642FULL + 5);
+  const PageKey gone{9, 3};
+  const PageKey kept{9, 4};
+  const std::vector<PageKey> gone_chain = {gone};
+  const std::vector<PageKey> kept_chain = {kept};
+  const uint32_t pages = static_cast<uint32_t>(param.capacity / 8);
+  uint64_t fresh = 0;
+  int removed = 0;
+  int evicted = 0;
+  for (int round = 0; round < 40; ++round) {
+    bool charged = false;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(gone_chain, 2, 0, pages, &charged)) << "round " << round;
+      ASSERT_NO_FATAL_FAILURE(lockstep.Run(kept_chain, 2, 0, pages, &charged)) << "round " << round;
+    }
+    const bool remove = rng.NextBelow(2) == 0;
+    if (remove) {
+      lockstep.Remove(gone);
+    } else {
+      // Fresh keys until the chain key goes, or a cacheful of them: 2Q's
+      // Am and ARC's T2 keep it against a stream of new keys.
+      for (size_t n = 0; n < param.capacity && lockstep.Contains(gone); ++n) {
+        ASSERT_NO_FATAL_FAILURE(lockstep.Insert(PageKey{3, fresh++})) << "round " << round;
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(lockstep.Check()) << "round " << round;
+    bool others_stayed = lockstep.Contains(kept);
+    for (uint32_t i = 0; i < pages; ++i) {
+      others_stayed = others_stayed && lockstep.Contains(PageKey{2, i});
+    }
+    if (!lockstep.Contains(gone) && others_stayed) {
+      ++(remove ? removed : evicted);
+    }
+    ASSERT_NO_FATAL_FAILURE(lockstep.Run(gone_chain, 2, 0, pages, &charged)) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(lockstep.Run(kept_chain, 2, 0, pages, &charged)) << "round " << round;
+    ASSERT_NO_FATAL_FAILURE(lockstep.Check()) << "round " << round;
+  }
+  EXPECT_GT(removed, 0);
+  if (param.kind == EvictionPolicyKind::kLru) {
+    EXPECT_GT(evicted, 0);
+  }
+  ASSERT_NO_FATAL_FAILURE(lockstep.Drain(4));
+}
+
 INSTANTIATE_TEST_SUITE_P(Traces, RunMemoDifferential,
                          ::testing::Values(Trace(EvictionPolicyKind::kLru, 320, 1),
                                            Trace(EvictionPolicyKind::kLru, 512, 2),

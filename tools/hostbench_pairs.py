@@ -21,9 +21,9 @@ between the base and change runners, largest change first, or says that none
 differs: code placement alone can move a host-time comparison, so a change
 that should leave the hot paths alone can be checked to compile them alike.
 
-Per workload and side it prints the median and quartiles of ops / run_s (the
-runner's simulated ops per thread-CPU second), the median setup_s and peak
-RSS, every digest seen and any gate failure. Then, for the change and the
+Per workload and side it prints the first quartile, median and third quartile
+of ops / run_s (the runner's simulated ops per thread-CPU second), setup_s and
+peak RSS, every digest seen and any gate failure. Then, for the change and the
 control, it prints on each of the three metrics how many rotations the side
 won against base (more ops/s, less setup_s, less RSS) and the ratio of its
 median to base's. Exits 1 when a repetition failed its gate or one side saw
@@ -41,11 +41,11 @@ import sys
 
 REP_TIMEOUT_S = 300
 SIDES = ("base", "control", "change")
-# (label, value of one repetition, whether a higher value wins)
+# (label, value of one repetition, whether a higher value wins, print format)
 METRICS = (
-    ("ops/s", lambda r: r["ops"] / r["run_s"], True),
-    ("setup_s", lambda r: r["setup_s"], False),
-    ("rss MiB", lambda r: r["peak_rss_kib"] / 1024.0, False),
+    ("ops/s", lambda r: r["ops"] / r["run_s"], True, "%.0f"),
+    ("setup_s", lambda r: r["setup_s"], False, "%.4f"),
+    ("rss MiB", lambda r: r["peak_rss_kib"] / 1024.0, False, "%.2f"),
 )
 
 
@@ -155,18 +155,17 @@ def compare(workload, runners, args):
             reps[side].append(run_rep(runners[side], workload, args))
 
     values = {(side, label): [value(r) for r in reps[side]]
-              for side in SIDES for label, value, _ in METRICS}
+              for side in SIDES for label, value, _, _ in METRICS}
     print("%s seed %d, %d rotations on CPU %d%s" % (workload, args.seed, args.rotations,
                                                     args.cpu, ", short" if args.short else ""))
-    print("%-8s %12s %12s %12s %10s %9s  %s" % ("side", "ops/s q1", "median", "q3",
-                                                "setup_s", "rss MiB", "digests"))
+    print("%-8s %-8s %12s %12s %12s" % ("side", "metric", "q1", "median", "q3"))
     broken = False
     for side in SIDES:
-        q1, median, q3 = quartiles(values[(side, "ops/s")])
+        for label, _, _, form in METRICS:
+            print("%-8s %-8s %12s %12s %12s" % (
+                (side, label) + tuple(form % q for q in quartiles(values[(side, label)]))))
         digests = sorted({r["digest"] for r in reps[side]})
-        print("%-8s %12.0f %12.0f %12.0f %10.4f %9.1f  %s" % (
-            side, q1, median, q3, statistics.median(values[(side, "setup_s")]),
-            statistics.median(values[(side, "rss MiB")]), " ".join(digests)))
+        print("%-8s %-8s %s" % (side, "digests", " ".join(digests)))
         for rep in reps[side]:
             if rep["gate"]:
                 print("  gate FAILED (%s): %s" % (side, rep["gate"]))
@@ -174,7 +173,7 @@ def compare(workload, runners, args):
         broken = broken or len(digests) > 1
     print("%-8s %-8s %6s  %s" % ("vs base", "metric", "wins", "median ratio"))
     for side in ("change", "control"):
-        for label, _, higher_wins in METRICS:
+        for label, _, higher_wins, _ in METRICS:
             mine, base = values[(side, label)], values[("base", label)]
             wins = sum((m > b) if higher_wins else (m < b) for m, b in zip(mine, base))
             ratio = statistics.median(mine) / statistics.median(base)
